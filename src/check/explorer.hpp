@@ -64,7 +64,7 @@ struct ExploreOptions {
   /// explicit affine window set generally is not).
   std::function<bool(const std::vector<rt::Partition>&,
                      const std::vector<ColorSet>&)>
-      run_filter;
+      run_filter = nullptr;
 };
 
 struct ExploreStats {

@@ -124,9 +124,6 @@ struct Router::Shard {
   std::atomic<int> health{0};
   std::atomic<int> probe_streak{0};  // consecutive probe failures
   TokenBucket retry_budget;          // per-shard retry charge
-  obs::Counter* m_routed = nullptr;
-  obs::Counter* m_answered = nullptr;
-  obs::Gauge* m_up = nullptr;
 
   [[nodiscard]] bool in_backoff() const {
     const std::int64_t until = backoff_until_us.load(std::memory_order_relaxed);
@@ -177,44 +174,6 @@ Router::Router(RouterConfig config)
       observer_(config_.obs),
       started_(Clock::now()),
       ring_(config_.vnodes) {
-  obs::MetricsRegistry& reg = observer_.metrics();
-  m_requests_ = &reg.counter("wfc_router_requests_total", "",
-                             "Queries accepted for routing");
-  m_responses_ = &reg.counter("wfc_router_responses_total", "",
-                              "Queries resolved by an upstream response");
-  m_hedges_ = &reg.counter("wfc_router_hedges_total", "", "Hedge copies sent");
-  m_hedge_wins_ = &reg.counter("wfc_router_hedge_wins_total", "",
-                               "Queries won by a non-primary shard");
-  m_late_drops_ = &reg.counter(
-      "wfc_router_late_drops_total", "",
-      "Upstream responses for already-resolved or unknown ids");
-  m_redispatches_ = &reg.counter("wfc_router_redispatches_total", "",
-                                 "Re-routes after a connection death");
-  m_timeouts_ = &reg.counter("wfc_router_timeouts_total", "",
-                             "Queries the router answered deadline_exceeded");
-  m_failed_ = &reg.counter("wfc_router_failed_total", "",
-                           "Queries resolved by a router-generated error");
-  m_rejected_ = &reg.counter("wfc_router_rejected_total", "",
-                             "Queries rejected before routing (capacity)");
-  m_probe_failures_ = &reg.counter("wfc_cluster_probe_failures", "",
-                                   "Active health probes that failed");
-  m_budget_exhausted_ =
-      &reg.counter("wfc_cluster_retry_budget_exhausted", "",
-                   "Re-dispatches or hedges refused by the retry budget");
-  m_hop_deadline_ = &reg.counter(
-      "wfc_cluster_hop_deadline_expired", "",
-      "Queries fast-failed: client deadline spent before the next hop");
-  m_pending_ = &reg.gauge("wfc_router_pending", "", "Unresolved queries");
-  m_shards_up_ =
-      &reg.gauge("wfc_router_shards_up", "", "Shards with a live connection");
-  m_imbalance_ = &reg.gauge("wfc_router_ring_imbalance_permille", "",
-                            "Max shard arc share over mean, permille");
-  m_state_up_ = &reg.gauge("wfc_cluster_shard_state", "state=\"up\"",
-                           "Shards by probe health state");
-  m_state_suspect_ = &reg.gauge("wfc_cluster_shard_state", "state=\"suspect\"",
-                                "Shards by probe health state");
-  m_state_down_ = &reg.gauge("wfc_cluster_shard_state", "state=\"down\"",
-                             "Shards by probe health state");
   retry_budget_.configure(config_.retry_budget_per_sec,
                           config_.retry_budget_burst);
 }
@@ -332,7 +291,6 @@ net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
     std::lock_guard<std::mutex> pl(pending_mu_);
     if (pending_.size() >= config_.max_pending) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
-      m_rejected_->inc();
       out.kind = Outcome::Kind::kRespond;
       out.response = error_line(
           client_id, line_no, svc::to_json_token(svc::Status::kOverloaded),
@@ -383,7 +341,6 @@ net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
     // instant, not just at quiescence.
     requests_.fetch_add(1, std::memory_order_relaxed);
   }
-  m_requests_->inc();
 
   if (!route_and_send(p, p->wire, "")) {
     if (auto taken = take_pending(p->seq, Cause::kFailed)) {
@@ -470,7 +427,6 @@ bool Router::route_and_send(const std::shared_ptr<Pending>& p,
         ++p->attempts;
       }
       it->second->routed.fetch_add(1, std::memory_order_relaxed);
-      it->second->m_routed->inc();
       return true;
     }
     tried.insert(id);
@@ -506,14 +462,6 @@ bool Router::send_on_shard(const std::shared_ptr<Shard>& shard,
 // Upstream connections.
 
 void Router::start_shard(const std::shared_ptr<Shard>& shard) {
-  const std::string labels = "shard=\"" + svc::json_escape(shard->id) + "\"";
-  obs::MetricsRegistry& reg = observer_.metrics();
-  shard->m_routed = &reg.counter("wfc_router_shard_requests_total", labels,
-                                 "Requests dispatched per shard");
-  shard->m_answered = &reg.counter("wfc_router_shard_answers_total", labels,
-                                   "Winning responses per shard");
-  shard->m_up = &reg.gauge("wfc_router_shard_up_conns", labels,
-                           "Live pooled connections per shard");
   shard->retry_budget.configure(config_.shard_retry_budget_per_sec,
                                 config_.shard_retry_budget_burst);
   for (int i = 0; i < config_.conns_per_shard; ++i) {
@@ -563,9 +511,6 @@ void Router::conn_reader(std::shared_ptr<Shard> shard, UpstreamConn* conn) {
       generation = ++conn->generation;
     }
     shard->up_conns.fetch_add(1);
-    if (shard->m_up) {
-      shard->m_up->set(static_cast<std::uint64_t>(shard->up_conns.load()));
-    }
     backoff = config_.reconnect_min;
     // stop() may have raced the install: its shutdown() hit the previous
     // (null) client, so re-check before blocking in recv.
@@ -584,9 +529,6 @@ void Router::conn_reader(std::shared_ptr<Shard> shard, UpstreamConn* conn) {
       if (conn->client == client) conn->client.reset();
     }
     shard->up_conns.fetch_sub(1);
-    if (shard->m_up) {
-      shard->m_up->set(static_cast<std::uint64_t>(shard->up_conns.load()));
-    }
     if (config_.log) {
       config_.log("shard " + shard->id + " conn#" +
                   std::to_string(conn->index) + " down");
@@ -605,7 +547,6 @@ void Router::on_upstream_line(const std::shared_ptr<Shard>& shard,
     fields = svc::parse_flat_json(line);
   } catch (...) {
     late_drops_.fetch_add(1, std::memory_order_relaxed);
-    m_late_drops_->inc();
     return;
   }
   // A retryable envelope with a retry_after_ms hint opens the shard's soft
@@ -634,11 +575,9 @@ void Router::on_upstream_line(const std::shared_ptr<Shard>& shard,
   if (!p) {
     // The hedge loser, a re-dispatched twin, or an id we never issued.
     late_drops_.fetch_add(1, std::memory_order_relaxed);
-    m_late_drops_->inc();
     return;
   }
   shard->answered.fetch_add(1, std::memory_order_relaxed);
-  shard->m_answered->inc();
   resolve_response(p, std::move(line), shard->id);
 }
 
@@ -691,7 +630,6 @@ void Router::redispatch_orphans(
       const std::optional<std::string> wire = wire_now(p);
       if (!wire) {
         hop_deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-        m_hop_deadline_->inc();
         if (auto taken = take_pending(p->seq, Cause::kTimeout)) {
           resolve_error(taken,
                         svc::to_json_token(svc::Status::kDeadlineExceeded),
@@ -700,7 +638,6 @@ void Router::redispatch_orphans(
         continue;
       }
       redispatches_.fetch_add(1, std::memory_order_relaxed);
-      m_redispatches_->inc();
       // The shard that just dropped us is suspect even while the rest of
       // its pool still counts as up (a dying process tears its sockets
       // down one reader at a time) -- prefer any other shard, and fall
@@ -737,15 +674,12 @@ std::shared_ptr<Router::Pending> Router::take_pending(std::uint64_t seq,
   switch (cause) {
     case Cause::kResponse:
       responses_.fetch_add(1, std::memory_order_relaxed);
-      m_responses_->inc();
       break;
     case Cause::kTimeout:
       timeouts_.fetch_add(1, std::memory_order_relaxed);
-      m_timeouts_->inc();
       break;
     case Cause::kFailed:
       failed_.fetch_add(1, std::memory_order_relaxed);
-      m_failed_->inc();
       break;
   }
   p->resolved.store(true);
@@ -759,7 +693,6 @@ void Router::resolve_response(const std::shared_ptr<Pending>& p,
     std::lock_guard<std::mutex> gl(p->mu);
     if (p->hedged && shard_id != p->primary_shard) {
       hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-      m_hedge_wins_->inc();
     }
   }
   // The id splice: our "r<seq>" comes out, the client's own id (escaped
@@ -777,7 +710,7 @@ void Router::resolve_error(const std::shared_ptr<Pending>& p,
 }
 
 // ---------------------------------------------------------------------------
-// Maintenance: hedging, router-side timeouts, gauges.
+// Maintenance: hedging and router-side timeouts.
 
 void Router::maintenance_thread() {
   while (!stopping_.load()) {
@@ -811,7 +744,6 @@ void Router::maintenance_thread() {
       }
     }
     for (auto& p : to_hedge) hedge_one(p);
-    refresh_gauges();
   }
 }
 
@@ -838,37 +770,8 @@ void Router::hedge_one(const std::shared_ptr<Pending>& p) {
   if (!wire) return;  // out of budget; the router deadline clock fires soon
   if (send_on_shard(it->second, p, *wire)) {
     hedges_.fetch_add(1, std::memory_order_relaxed);
-    m_hedges_->inc();
     it->second->hedges.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-void Router::refresh_gauges() {
-  std::size_t pending = 0;
-  {
-    std::lock_guard<std::mutex> pl(pending_mu_);
-    pending = pending_.size();
-  }
-  m_pending_->set(pending);
-  std::shared_lock<std::shared_mutex> ml(membership_mu_);
-  std::uint64_t up = 0;
-  std::uint64_t state_up = 0, state_suspect = 0, state_down = 0;
-  for (const auto& [id, shard] : shards_) {
-    if (shard->up_conns.load(std::memory_order_relaxed) > 0) ++up;
-    const int health = shard->health.load(std::memory_order_relaxed);
-    if (health >= 2 || shard->up_conns.load(std::memory_order_relaxed) <= 0) {
-      ++state_down;
-    } else if (health == 1) {
-      ++state_suspect;
-    } else {
-      ++state_up;
-    }
-  }
-  m_shards_up_->set(up);
-  m_imbalance_->set(ring_.imbalance_permille());
-  m_state_up_->set(state_up);
-  m_state_suspect_->set(state_suspect);
-  m_state_down_->set(state_down);
 }
 
 // ---------------------------------------------------------------------------
@@ -923,7 +826,6 @@ void Router::probe_shard(const std::shared_ptr<Shard>& shard) {
     return;
   }
   probe_failures_.fetch_add(1, std::memory_order_relaxed);
-  m_probe_failures_->inc();
   const int streak =
       shard->probe_streak.fetch_add(1, std::memory_order_relaxed) + 1;
   int next;
@@ -970,7 +872,6 @@ void Router::evict_shard_pendings(const std::shared_ptr<Shard>& shard) {
 bool Router::charge_retry(const std::shared_ptr<Shard>& shard) {
   if (retry_budget_.try_take() && shard->retry_budget.try_take()) return true;
   budget_exhausted_.fetch_add(1, std::memory_order_relaxed);
-  m_budget_exhausted_->inc();
   return false;
 }
 

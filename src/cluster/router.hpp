@@ -122,7 +122,7 @@ struct RouterConfig {
   /// teardown re-dispatch, not by this clock.
   std::chrono::milliseconds pending_timeout{120'000};
   std::chrono::milliseconds pending_grace{2'000};
-  /// Maintenance cadence (hedging, timeouts, gauge refresh).
+  /// Maintenance cadence (hedging, timeouts).
   std::chrono::milliseconds tick{10};
   /// Total sends per request (first dispatch + re-dispatches; hedges not
   /// counted) before it resolves overloaded.
@@ -175,7 +175,9 @@ struct RouterConfig {
   std::string store_dir;
   bool store_readonly = false;
   std::uint64_t store_max_bytes = 0;
-  /// Router-local observability (counters/histograms under wfc_router_*).
+  /// Router-local observability: the front server's connection spans and
+  /// wfc_net_* views.  Router counts live in Stats, served as flat JSON by
+  /// {"op":"metrics"} and {"op":"cluster_stats"}.
   obs::ObsConfig obs{};
   /// Echoed by {"op":"info"} as server_id.
   std::string router_id = "router";
@@ -301,7 +303,6 @@ class Router : public net::LineBackend {
   // Maintenance.
   void maintenance_thread();
   void hedge_one(const std::shared_ptr<Pending>& p);
-  void refresh_gauges();
 
   // Hardening (probes / budgets / deadlines).
   void probe_thread();
@@ -375,26 +376,6 @@ class Router : public net::LineBackend {
       failed_{0}, rejected_{0};
   std::atomic<std::uint64_t> probe_failures_{0}, budget_exhausted_{0},
       hop_deadline_expired_{0};
-
-  // Obs mirrors (always registered; the registry is cheap when disabled).
-  obs::Counter* m_requests_;
-  obs::Counter* m_responses_;
-  obs::Counter* m_hedges_;
-  obs::Counter* m_hedge_wins_;
-  obs::Counter* m_late_drops_;
-  obs::Counter* m_redispatches_;
-  obs::Counter* m_timeouts_;
-  obs::Counter* m_failed_;
-  obs::Counter* m_rejected_;
-  obs::Counter* m_probe_failures_;
-  obs::Counter* m_budget_exhausted_;
-  obs::Counter* m_hop_deadline_;
-  obs::Gauge* m_pending_;
-  obs::Gauge* m_shards_up_;
-  obs::Gauge* m_imbalance_;
-  obs::Gauge* m_state_up_;
-  obs::Gauge* m_state_suspect_;
-  obs::Gauge* m_state_down_;
 };
 
 }  // namespace wfc::cluster

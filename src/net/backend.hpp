@@ -65,8 +65,9 @@ class LineBackend {
   /// the bound without buffering it to completion.
   [[nodiscard]] virtual std::size_t max_line_bytes() const = 0;
 
-  /// The obs facade the server mirrors wire counters and connection spans
-  /// into; null (or a disabled observer) leaves wire obs off.
+  /// The obs facade that exports the server's wire counters (as views)
+  /// and records its connection spans; null (or a disabled observer) leaves
+  /// wire obs off.
   [[nodiscard]] virtual obs::Observer* observer() { return nullptr; }
 };
 

@@ -15,6 +15,8 @@
 #include <system_error>
 #include <vector>
 
+#include "wf/counter.hpp"
+
 namespace wfc::net {
 
 namespace {
@@ -25,11 +27,31 @@ constexpr int kMaxEvents = 64;
 /// re-arms for the rest).
 constexpr std::size_t kReadBurstBytes = 1u << 20;
 
-void add_counter(obs::Counter* c, std::uint64_t n = 1) {
-  if (c != nullptr) c->inc(n);
-}
-
 }  // namespace
+
+/// The wire counters behind Server::Stats.  Connection-lifecycle counts are
+/// plain atomics (accept/close are rare); the per-line / per-byte hot
+/// counters are sharded wf::Counters so io loops never contend on one cache
+/// line.
+struct Server::Counters {
+  std::atomic<std::uint64_t> accepted{0}, closed{0}, dropped{0}, active{0},
+      oversized_lines{0};
+  wf::Counter requests, responses, bytes_read, bytes_written;
+
+  [[nodiscard]] Stats snapshot() const {
+    Stats s;
+    s.accepted = accepted.load(std::memory_order_relaxed);
+    s.closed = closed.load(std::memory_order_relaxed);
+    s.dropped = dropped.load(std::memory_order_relaxed);
+    s.active = active.load(std::memory_order_relaxed);
+    s.requests = requests.value();
+    s.responses = responses.value();
+    s.bytes_read = bytes_read.value();
+    s.bytes_written = bytes_written.value();
+    s.oversized_lines = oversized_lines.load(std::memory_order_relaxed);
+    return s;
+  }
+};
 
 /// One event loop: its own epoll instance, an eventfd wakeup, and the
 /// connections it owns.  `conns` is loop-thread-only; `mu` guards the
@@ -92,10 +114,13 @@ Server::Server(svc::QueryService& service, ServerConfig config)
     : config_(std::move(config)),
       owned_backend_(
           std::make_unique<ServiceBackend>(service, config_.handler)),
-      backend_(owned_backend_.get()) {}
+      backend_(owned_backend_.get()),
+      counters_(std::make_shared<Counters>()) {}
 
 Server::Server(LineBackend& backend, ServerConfig config)
-    : config_(std::move(config)), backend_(&backend) {}
+    : config_(std::move(config)),
+      backend_(&backend),
+      counters_(std::make_shared<Counters>()) {}
 
 Server::~Server() { stop(); }
 
@@ -103,24 +128,34 @@ void Server::init_metrics() {
   obs::Observer* observer = backend_->observer();
   if (observer == nullptr || !observer->enabled()) return;
   obs::MetricsRegistry& reg = observer->metrics();
-  m_accepted_ = &reg.counter("wfc_net_accepted_total", "",
-                             "TCP connections accepted");
-  m_closed_ = &reg.counter("wfc_net_closed_total", "",
-                           "TCP connections closed (any reason)");
-  m_dropped_ = &reg.counter(
+  // Views of Stats.  They hold the counters, not the Server, so they stay
+  // readable after the Server is gone.
+  const auto view = [c = counters_](std::uint64_t Stats::*field) {
+    return [c, field] { return c->snapshot().*field; };
+  };
+  reg.counter_view("wfc_net_accepted_total", "", "TCP connections accepted",
+                   view(&Stats::accepted));
+  reg.counter_view("wfc_net_closed_total", "",
+                   "TCP connections closed (any reason)",
+                   view(&Stats::closed));
+  reg.counter_view(
       "wfc_net_dropped_total", "",
-      "Connections force-closed (socket error, idle timeout, drain cap)");
-  m_requests_ = &reg.counter("wfc_net_requests_total", "",
-                             "Request lines submitted as queries");
-  m_responses_ = &reg.counter("wfc_net_responses_total", "",
-                              "Response lines queued to the wire");
-  m_bytes_read_ = &reg.counter("wfc_net_bytes_read_total", "",
-                               "Bytes read off client sockets");
-  m_bytes_written_ = &reg.counter("wfc_net_bytes_written_total", "",
-                                  "Bytes written to client sockets");
-  m_active_ = &reg.gauge("wfc_net_active_connections", "",
-                         "Currently open client connections");
-  m_rtt_us_ = &reg.histogram(
+      "Connections force-closed (socket error, idle timeout, drain cap)",
+      view(&Stats::dropped));
+  reg.counter_view("wfc_net_requests_total", "",
+                   "Request lines submitted as queries",
+                   view(&Stats::requests));
+  reg.counter_view("wfc_net_responses_total", "",
+                   "Response lines queued to the wire",
+                   view(&Stats::responses));
+  reg.counter_view("wfc_net_bytes_read_total", "",
+                   "Bytes read off client sockets", view(&Stats::bytes_read));
+  reg.counter_view("wfc_net_bytes_written_total", "",
+                   "Bytes written to client sockets",
+                   view(&Stats::bytes_written));
+  reg.gauge_view("wfc_net_active_connections", "",
+                 "Currently open client connections", view(&Stats::active));
+  rtt_us_ = &reg.histogram(
       "wfc_net_rtt_us", obs::latency_bounds_us(), "",
       "Wire RTT per request: line parsed to response rendered, microseconds");
 }
@@ -188,7 +223,7 @@ void Server::drain() {
   drain_deadline_ = std::chrono::steady_clock::now() + config_.drain_timeout;
   draining_.store(true, std::memory_order_release);
   for (const std::shared_ptr<Loop>& loop : loops_) loop->kick();
-  while (active_.load(std::memory_order_relaxed) != 0 &&
+  while (counters_->active.load(std::memory_order_relaxed) != 0 &&
          std::chrono::steady_clock::now() <
              drain_deadline_ + std::chrono::milliseconds(200)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -196,19 +231,7 @@ void Server::drain() {
   stop();
 }
 
-Server::Stats Server::stats() const {
-  Stats s;
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.closed = closed_.load(std::memory_order_relaxed);
-  s.dropped = dropped_.load(std::memory_order_relaxed);
-  s.active = active_.load(std::memory_order_relaxed);
-  s.requests = requests_.value();
-  s.responses = responses_.value();
-  s.bytes_read = bytes_read_.value();
-  s.bytes_written = bytes_written_.value();
-  s.oversized_lines = oversized_lines_.load(std::memory_order_relaxed);
-  return s;
-}
+Server::Stats Server::stats() const { return counters_->snapshot(); }
 
 void Server::loop_thread(const std::shared_ptr<Loop>& loop,
                          bool is_acceptor) {
@@ -317,8 +340,7 @@ void Server::handle_accept(const std::shared_ptr<Loop>& loop) {
       break;  // transient resource failure; the listener stays armed
     }
     set_nodelay(cfd);
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    add_counter(m_accepted_);
+    counters_->accepted.fetch_add(1, std::memory_order_relaxed);
     const std::size_t target =
         next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
     const std::shared_ptr<Loop>& owner = loops_[target];
@@ -344,8 +366,7 @@ void Server::adopt_incoming(const std::shared_ptr<Loop>& loop) {
     if (draining_.load(std::memory_order_relaxed) ||
         loop->stop.load(std::memory_order_relaxed)) {
       // Arrived after the shutdown decision: never served.
-      closed_.fetch_add(1, std::memory_order_relaxed);
-      add_counter(m_closed_);
+      counters_->closed.fetch_add(1, std::memory_order_relaxed);
       continue;  // Fd destructor closes it
     }
     auto conn = std::make_shared<Conn>();
@@ -365,15 +386,11 @@ void Server::adopt_incoming(const std::shared_ptr<Loop>& loop) {
     ev.events = EPOLLIN;
     ev.data.fd = cfd;
     if (::epoll_ctl(loop->epoll.get(), EPOLL_CTL_ADD, cfd, &ev) != 0) {
-      closed_.fetch_add(1, std::memory_order_relaxed);
-      add_counter(m_closed_);
+      counters_->closed.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     loop->conns.emplace(cfd, std::move(conn));
-    active_.fetch_add(1, std::memory_order_relaxed);
-    if (m_active_ != nullptr) {
-      m_active_->set(active_.load(std::memory_order_relaxed));
-    }
+    counters_->active.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -400,8 +417,7 @@ void Server::drain_conn(const std::shared_ptr<Loop>& loop,
   for (std::string& line : lines) {
     conn->wbuf += line;
     conn->wbuf += '\n';
-    responses_.inc();
-    add_counter(m_responses_);
+    counters_->responses.inc();
   }
   conn->inflight -= lines.size();
   bool queued = !lines.empty();
@@ -410,8 +426,7 @@ void Server::drain_conn(const std::shared_ptr<Loop>& loop,
     conn->pending_control.reset();
     conn->wbuf += backend_->control(control.line, control.line_no);
     conn->wbuf += '\n';
-    responses_.inc();
-    add_counter(m_responses_);
+    counters_->responses.inc();
     queued = true;
   }
   // Queuing output counts as activity: the idle clock then measures the
@@ -452,8 +467,7 @@ void Server::handle_readable(const std::shared_ptr<Loop>& loop,
     return;
   }
   if (got > 0) {
-    bytes_read_.inc(got);
-    add_counter(m_bytes_read_, got);
+    counters_->bytes_read.inc(got);
     conn->last_activity = std::chrono::steady_clock::now();
     conn->trace.complete(obs::SpanKind::kNetRead, t0, conn->last_activity,
                          got);
@@ -535,7 +549,7 @@ void Server::handle_line(const std::shared_ptr<Loop>& /*loop*/,
   const auto start = std::chrono::steady_clock::now();
   std::weak_ptr<Conn> weak = conn;
   std::shared_ptr<Loop> owner = conn->loop;
-  obs::Histogram* rtt = m_rtt_us_;
+  obs::Histogram* rtt = rtt_us_;
   LineBackend::Outcome outcome = backend_->on_line(
       line, line_no,
       [weak = std::move(weak), owner = std::move(owner), start,
@@ -569,20 +583,18 @@ void Server::handle_line(const std::shared_ptr<Loop>& /*loop*/,
     case Kind::kRespond: {
       const std::size_t cap = backend_->max_line_bytes();
       if (cap != 0 && line.size() > cap) {
-        oversized_lines_.fetch_add(1, std::memory_order_relaxed);
+        counters_->oversized_lines.fetch_add(1, std::memory_order_relaxed);
       }
       conn->wbuf += outcome.response;
       conn->wbuf += '\n';
-      responses_.inc();
-      add_counter(m_responses_);
+      counters_->responses.inc();
       return;
     }
     case Kind::kControl:
       if (conn->inflight == 0) {
         conn->wbuf += backend_->control(line, line_no);
         conn->wbuf += '\n';
-        responses_.inc();
-        add_counter(m_responses_);
+        counters_->responses.inc();
       } else {
         // Answer once this connection's earlier queries are all terminal,
         // so the promised counters reconcile; parsing pauses until then.
@@ -592,8 +604,7 @@ void Server::handle_line(const std::shared_ptr<Loop>& /*loop*/,
       return;
     case Kind::kSubmitted:
       ++conn->inflight;
-      requests_.inc();
-      add_counter(m_requests_);
+      counters_->requests.inc();
       return;
   }
 }
@@ -618,8 +629,7 @@ void Server::flush_writes(const std::shared_ptr<Loop>& loop,
     return;
   }
   if (wrote > 0) {
-    bytes_written_.inc(wrote);
-    add_counter(m_bytes_written_, wrote);
+    counters_->bytes_written.inc(wrote);
     conn->last_activity = std::chrono::steady_clock::now();
     conn->trace.complete(obs::SpanKind::kNetWrite, t0, conn->last_activity,
                          wrote);
@@ -668,16 +678,11 @@ void Server::close_conn(const std::shared_ptr<Loop>& loop,
                     nullptr);
   loop->conns.erase(conn->sock.get());
   conn->sock.reset();
-  closed_.fetch_add(1, std::memory_order_relaxed);
-  add_counter(m_closed_);
+  counters_->closed.fetch_add(1, std::memory_order_relaxed);
   if (forced) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    add_counter(m_dropped_);
+    counters_->dropped.fetch_add(1, std::memory_order_relaxed);
   }
-  active_.fetch_sub(1, std::memory_order_relaxed);
-  if (m_active_ != nullptr) {
-    m_active_->set(active_.load(std::memory_order_relaxed));
-  }
+  counters_->active.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void Server::sweep_idle(const std::shared_ptr<Loop>& loop) {

@@ -60,7 +60,6 @@
 #include "net/backend.hpp"
 #include "net/socket.hpp"
 #include "service/handler.hpp"
-#include "wf/counter.hpp"
 
 namespace wfc::net {
 
@@ -94,8 +93,10 @@ class Server {
  public:
   /// Wire-level counters, all monotone except `active`.  Always on
   /// (lifecycle counts are plain atomics, per-line/per-byte counts are
-  /// sharded wf::Counters); mirrored into the service's obs registry when
-  /// observability is enabled.
+  /// sharded wf::Counters).  When the backend's observability is enabled,
+  /// start() registers the wfc_net_* series as views of these fields in
+  /// its registry; the views share the counters, so an exposition written
+  /// after this Server is destroyed still reports its final counts.
   struct Stats {
     std::uint64_t accepted = 0;
     std::uint64_t closed = 0;      // every close, any reason
@@ -185,23 +186,11 @@ class Server {
   std::vector<std::thread> threads_;
   std::atomic<std::uint32_t> next_loop_{0};
 
-  // Wire counters (see Stats).  Connection-lifecycle counts stay plain
-  // atomics (accept/close are rare); the per-line / per-byte hot counters
-  // are sharded wf::Counters so io loops never contend on one cache line.
-  std::atomic<std::uint64_t> accepted_{0}, closed_{0}, dropped_{0},
-      active_{0}, oversized_lines_{0};
-  wf::Counter requests_, responses_, bytes_read_, bytes_written_;
-
-  // Obs mirrors; null when the service's observability layer is disabled.
-  obs::Counter* m_accepted_ = nullptr;
-  obs::Counter* m_closed_ = nullptr;
-  obs::Counter* m_dropped_ = nullptr;
-  obs::Counter* m_requests_ = nullptr;
-  obs::Counter* m_responses_ = nullptr;
-  obs::Counter* m_bytes_read_ = nullptr;
-  obs::Counter* m_bytes_written_ = nullptr;
-  obs::Gauge* m_active_ = nullptr;
-  obs::Histogram* m_rtt_us_ = nullptr;
+  // Wire counters (see Stats), shared with the registry's views.
+  struct Counters;
+  std::shared_ptr<Counters> counters_;
+  // Owned wire RTT histogram; null when observability is disabled.
+  obs::Histogram* rtt_us_ = nullptr;
 };
 
 }  // namespace wfc::net

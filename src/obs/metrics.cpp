@@ -42,33 +42,60 @@ const std::vector<std::uint64_t>& size_bounds() {
 Counter& MetricsRegistry::counter(const std::string& name,
                                   const std::string& labels,
                                   const std::string& help) {
-  return find_or_add(Kind::kCounter, name, labels, help).counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name,
-                              const std::string& labels,
-                              const std::string& help) {
-  return find_or_add(Kind::kGauge, name, labels, help).gauge;
+  std::lock_guard<std::mutex> lock(mu_);
+  return find_or_add(Kind::kCounter, false, name, labels, help).counter;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const std::vector<std::uint64_t>& bounds,
                                       const std::string& labels,
                                       const std::string& help) {
-  Series& s = find_or_add(Kind::kHistogram, name, labels, help);
+  std::lock_guard<std::mutex> lock(mu_);
+  Series& s = find_or_add(Kind::kHistogram, false, name, labels, help);
   if (s.histogram == nullptr) s.histogram = std::make_unique<Histogram>(bounds);
   return *s.histogram;
 }
 
-MetricsRegistry::Series& MetricsRegistry::find_or_add(
-    Kind kind, const std::string& name, const std::string& labels,
-    const std::string& help) {
+void MetricsRegistry::counter_view(const std::string& name,
+                                   const std::string& labels,
+                                   const std::string& help, ViewFn read) {
+  add_view(Kind::kCounter, name, labels, help, std::move(read));
+}
+
+void MetricsRegistry::gauge_view(const std::string& name,
+                                 const std::string& labels,
+                                 const std::string& help, ViewFn read) {
+  add_view(Kind::kGauge, name, labels, help, std::move(read));
+}
+
+void MetricsRegistry::add_view(Kind kind, const std::string& name,
+                               const std::string& labels,
+                               const std::string& help, ViewFn read) {
+  WFC_REQUIRE(read != nullptr, "MetricsRegistry: view without a source: " +
+                                   name);
   std::lock_guard<std::mutex> lock(mu_);
+  Series& s = find_or_add(kind, true, name, labels, help);
+  if (s.view == nullptr) {
+    s.view = std::move(read);
+  } else {
+    s.view = [first = std::move(s.view), second = std::move(read)] {
+      return first() + second();
+    };
+  }
+}
+
+MetricsRegistry::Series& MetricsRegistry::find_or_add(
+    Kind kind, bool view, const std::string& name, const std::string& labels,
+    const std::string& help) {
   for (Series& s : series_) {
     if (s.name == name && s.labels == labels) {
       WFC_REQUIRE(s.kind == kind,
                   "MetricsRegistry: series re-registered with another kind: " +
                       name);
+      WFC_REQUIRE((s.view != nullptr) == view,
+                  "MetricsRegistry: " + name +
+                      (view ? " is owned; it cannot become a view"
+                            : " is a view; it owns no instrument"));
       return s;
     }
   }
@@ -115,10 +142,9 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
     for (const Series* s : members) {
       switch (s->kind) {
         case Kind::kCounter:
-          out << with_labels(*s) << " " << s->counter.value() << "\n";
-          break;
         case Kind::kGauge:
-          out << with_labels(*s) << " " << s->gauge.value() << "\n";
+          out << with_labels(*s) << " "
+              << (s->view ? s->view() : s->counter.value()) << "\n";
           break;
         case Kind::kHistogram: {
           const Histogram& h = *s->histogram;

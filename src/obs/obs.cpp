@@ -20,11 +20,6 @@ TraceContext Observer::begin_trace() {
                       next_trace_id_.fetch_add(1, std::memory_order_relaxed));
 }
 
-void Observer::write_prometheus(std::ostream& out) const {
-  if (gauge_refresh_) gauge_refresh_();
-  metrics_.write_prometheus(out);
-}
-
 void Observer::write_chrome_trace(std::ostream& out) const {
   if (trace_ != nullptr) {
     trace_->write_chrome_trace(out);

@@ -17,15 +17,14 @@
 // {"op":"trace","path":...} and the wfc_cli metrics|trace subcommands
 // (service/frontend.hpp).
 //
-// Gauges that mirror another subsystem's state (queue depth, cache
-// residency) are refreshed just before export through a caller-installed
-// refresh hook, so a Prometheus scrape observes the same numbers a
-// ServiceStats snapshot would.
+// Counts another component already keeps (ServiceStats, wire counters,
+// queue depth, cache residency) are registered as views (metrics.hpp): the
+// exposition reads them from their owner, so a Prometheus scrape observes
+// the same numbers a stats snapshot would without a second copy.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 
@@ -68,13 +67,9 @@ class Observer {
   /// A fresh per-query context (disabled context when the layer is off).
   [[nodiscard]] TraceContext begin_trace();
 
-  /// Installed by the service: refreshes mirror gauges (queue depth, cache
-  /// residency, watchdog counters) immediately before an export.
-  void set_gauge_refresh(std::function<void()> refresh) {
-    gauge_refresh_ = std::move(refresh);
+  void write_prometheus(std::ostream& out) const {
+    metrics_.write_prometheus(out);
   }
-
-  void write_prometheus(std::ostream& out) const;
   void write_chrome_trace(std::ostream& out) const;
 
  private:
@@ -82,7 +77,6 @@ class Observer {
   MetricsRegistry metrics_;
   std::unique_ptr<TraceSink> trace_;
   std::atomic<std::uint64_t> next_trace_id_{1};
-  std::function<void()> gauge_refresh_;
 };
 
 }  // namespace wfc::obs

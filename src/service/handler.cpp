@@ -103,33 +103,25 @@ RequestHandler::Rendered error_record(const std::string& id, int line_no,
   return {w.str(), true};
 }
 
-/// The {"op":"metrics"} response: one flat-JSON line whose counters come
-/// straight from the obs registry, alongside the ServiceStats intake count
-/// -- the reconciliation the chaos soak asserts (submitted == terminal ==
-/// sum of the per-status counters) is visible in the line itself.
-std::string metrics_line(const std::string& id, QueryService& service) {
-  obs::MetricsRegistry& reg = service.observer().metrics();
-  const ServiceStats st = service.stats();
-  const std::uint64_t submitted =
-      reg.counter("wfc_queries_submitted_total").value();
+/// The {"op":"metrics"} response: one flat-JSON line rendered from the
+/// ServiceStats snapshot the Prometheus views also read, so the line and the
+/// exposition agree by construction.  "reconciles" is the invariant the
+/// chaos soak asserts: submitted == terminal == sum of the per-status
+/// counters.
+std::string metrics_line(const std::string& id, const ServiceStats& st) {
   JsonWriter w;
   if (!id.empty()) w.field("id", id);
   w.field("op", "metrics").field("status", to_json_token(Status::kOk));
-  w.field("submitted", submitted);
+  w.field("submitted", st.submitted);
   std::uint64_t terminal = 0;
   for (int s = 0; s < kNumStatuses; ++s) {
-    const std::uint64_t c =
-        reg.counter("wfc_queries_terminal_total",
-                    std::string(R"(status=")") +
-                        to_json_token(static_cast<Status>(s)) + R"(")")
-            .value();
-    terminal += c;
-    w.field(to_json_token(static_cast<Status>(s)), c);
+    terminal += st.by_status[s];
+    w.field(to_json_token(static_cast<Status>(s)), st.by_status[s]);
   }
   w.field("terminal", terminal);
-  w.field("memo_hits", reg.counter("wfc_result_memo_hits_total").value());
+  w.field("memo_hits", st.result_hits);
   w.field("stats_submitted", st.submitted);
-  w.field("reconciles", submitted == terminal && submitted == st.submitted);
+  w.field("reconciles", st.reconciles());
   return w.str();
 }
 
@@ -485,7 +477,7 @@ RequestHandler::Rendered RequestHandler::control(const ParsedLine& parsed) {
         }
         service_.observer().write_prometheus(file);
       }
-      return {metrics_line(id, service_), false};
+      return {metrics_line(id, service_.stats()), false};
     }
     // parsed.op == "trace"
     if (!service_.observer().enabled()) {

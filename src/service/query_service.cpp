@@ -47,7 +47,7 @@ struct LinOutcome {
 /// EVERY step interleaving of a fixed scenario (processor 0 performs
 /// `rounds` updates; every other processor takes one scan) and verify each
 /// recorded history against the sequential snapshot specification.
-LinOutcome run_linearizability_target(const CheckQuery& cq,
+LinOutcome run_linearizability_target(const CheckRequest& cq,
                                       std::uint64_t max_schedules,
                                       const std::atomic<bool>* cancel,
                                       std::atomic<std::uint64_t>* progress) {
@@ -159,8 +159,15 @@ QueryService::QueryService(Options options)
 
 void QueryService::init_observability() {
   obs::MetricsRegistry& reg = observer_.metrics();
-  metrics_.submitted = &reg.counter("wfc_queries_submitted_total", "",
-                                    "Tickets handed out by submit()");
+  // A count ServiceStats already keeps is a view of it, read when the
+  // exposition is written; owned counters are for events nothing else
+  // counts.
+  const auto stats_view = [this](auto field) -> obs::ViewFn {
+    return [this, field] { return field(stats()); };
+  };
+  reg.counter_view(
+      "wfc_queries_submitted_total", "", "Tickets handed out by submit()",
+      stats_view([](const ServiceStats& st) { return st.submitted; }));
   static const char* kKindLabels[4] = {
       R"(kind="solve")", R"(kind="convergence")", R"(kind="emulate")",
       R"(kind="check")"};
@@ -170,17 +177,21 @@ void QueryService::init_observability() {
                                        "Submitted queries by family");
   }
   for (int s = 0; s < kNumStatuses; ++s) {
-    metrics_.by_status[s] = &reg.counter(
+    reg.counter_view(
         "wfc_queries_terminal_total",
         std::string(R"(status=")") + to_json_token(static_cast<Status>(s)) +
             R"(")",
-        "Terminal statuses; sums to wfc_queries_submitted_total");
+        "Terminal statuses; sums to wfc_queries_submitted_total",
+        stats_view([s](const ServiceStats& st) { return st.by_status[s]; }));
   }
-  metrics_.memo_hits = &reg.counter("wfc_result_memo_hits_total", "",
-                                    "Queries answered from the result memo");
-  metrics_.degraded = &reg.counter(
+  reg.counter_view(
+      "wfc_result_memo_hits_total", "",
+      "Queries answered from the result memo",
+      stats_view([](const ServiceStats& st) { return st.result_hits; }));
+  reg.counter_view(
       "wfc_queries_degraded_total", "",
-      "Queries run with a load-degraded node budget");
+      "Queries run with a load-degraded node budget",
+      stats_view([](const ServiceStats& st) { return st.degraded; }));
   metrics_.emu_rounds = &reg.counter("wfc_emulation_rounds_total", "",
                                      "IIS rounds executed by §4 emulations");
   metrics_.model_queries = &reg.counter(
@@ -207,80 +218,73 @@ void QueryService::init_observability() {
   metrics_.search_nodes = &reg.histogram(
       "wfc_search_nodes", obs::size_bounds(), "",
       "Backtracking nodes explored per fresh solve/convergence query");
-  // Mirror gauges: refreshed immediately before each export so a scrape
-  // sees the same numbers a ServiceStats snapshot would.
-  observer_.set_gauge_refresh([this, &reg] {
-    reg.gauge("wfc_queue_depth", "", "Queries waiting for a worker")
-        .set(queue_.depth());
-    reg.gauge("wfc_queue_peak_depth", "", "Backlog high-water mark")
-        .set(queue_.peak_depth());
-    const CacheStats cs = cache_.stats();
-    reg.gauge("wfc_cache_entries", "", "Live cached SDS towers")
-        .set(cs.entries);
-    reg.gauge("wfc_cache_resident_vertices", "",
-              "Summed vertex weight of cached towers")
-        .set(cs.resident_vertices);
-    reg.gauge("wfc_cache_hits", "", "SDS cache hits").set(cs.hits);
-    reg.gauge("wfc_cache_misses", "", "SDS cache misses").set(cs.misses);
-    reg.gauge("wfc_cache_extensions", "", "Cached towers deepened")
-        .set(cs.extensions);
-    reg.gauge("wfc_cache_evictions", "", "Cache entries evicted")
-        .set(cs.evictions);
-    reg.gauge("wfc_cache_store_hits", "",
-              "Chains adopted from the persistent store")
-        .set(cs.store_hits);
-    reg.gauge("wfc_cache_pinned", "", "Cache entries pinned by operators")
-        .set(cs.pinned);
-    const StoreStats ss = cache_.store_stats();
-    reg.gauge("wfc_store_enabled", "", "1 when a chain store is attached")
-        .set(ss.enabled ? 1 : 0);
-    reg.gauge("wfc_store_hits", "", "Store loads served from disk")
-        .set(ss.hits);
-    reg.gauge("wfc_store_misses", "", "Store lookups with no file")
-        .set(ss.misses);
-    reg.gauge("wfc_store_fallbacks", "",
-              "Unusable store files (corrupt/truncated/version-skew)")
-        .set(ss.fallbacks);
-    reg.gauge("wfc_store_publishes", "", "Chain files written").set(
-        ss.publishes);
-    reg.gauge("wfc_store_publish_skipped", "",
-              "Publishes skipped (readonly/shallower/budget)")
-        .set(ss.publish_skipped);
-    reg.gauge("wfc_store_files", "", "Chain files on disk").set(ss.files);
-    reg.gauge("wfc_store_file_bytes", "", "Bytes of chain files on disk")
-        .set(ss.file_bytes);
-    reg.gauge("wfc_store_mapped_bytes", "",
-              "Bytes in live read-only chain mappings")
-        .set(ss.mapped_bytes);
-    const Watchdog::Stats wd = watchdog_.stats();
-    reg.gauge("wfc_watchdog_kills", "", "Hard-timeout force-cancellations")
-        .set(wd.kills);
-    reg.gauge("wfc_watchdog_stuck_reports", "", "Heartbeat stalls detected")
-        .set(wd.stuck_reports);
-    reg.gauge("wfc_result_memo_entries", "", "Memoized definitive verdicts")
-        .set(memo_.size());
-    // Wait-free data plane contention telemetry (src/wf): how hard the
-    // lock-free hot structures are working for their progress guarantees.
-    const wf::Telemetry& wt = wf::telemetry();
-    reg.gauge("wfc_wf_cas_retries", "",
-              "Failed CAS attempts across wf structures")
-        .set(wt.cas_retries.value());
-    reg.gauge("wfc_wf_announces", "",
-              "Inserts that took the announce (helping) slow path")
-        .set(wt.announces.value());
-    reg.gauge("wfc_wf_help_ops", "",
-              "Announced operations completed by helper threads")
-        .set(wt.help_ops.value());
-    reg.gauge("wfc_wf_epoch_advances", "",
-              "Epoch-reclamation grace periods completed")
-        .set(wt.epoch_advances.value());
-    reg.gauge("wfc_wf_epoch_reclaimed", "",
-              "Deferred nodes freed by epoch reclamation")
-        .set(wt.epoch_reclaimed.value());
-    reg.gauge("wfc_wf_evict_scans", "",
-              "Table slots examined by CLOCK eviction laps")
-        .set(wt.evict_scans.value());
-  });
+
+  // Gauges are views of the queue, cache, store, watchdog and memo.
+  const auto gauge = [&reg](const char* name, const char* help,
+                            obs::ViewFn read) {
+    reg.gauge_view(name, "", help, std::move(read));
+  };
+  gauge("wfc_queue_depth", "Queries waiting for a worker",
+        [this] { return queue_.depth(); });
+  gauge("wfc_queue_peak_depth", "Backlog high-water mark",
+        [this] { return queue_.peak_depth(); });
+  gauge("wfc_cache_entries", "Live cached SDS towers",
+        [this] { return cache_.stats().entries; });
+  gauge("wfc_cache_resident_vertices", "Summed vertex weight of cached towers",
+        [this] { return cache_.stats().resident_vertices; });
+  gauge("wfc_cache_hits", "SDS cache hits",
+        [this] { return cache_.stats().hits; });
+  gauge("wfc_cache_misses", "SDS cache misses",
+        [this] { return cache_.stats().misses; });
+  gauge("wfc_cache_extensions", "Cached towers deepened",
+        [this] { return cache_.stats().extensions; });
+  gauge("wfc_cache_evictions", "Cache entries evicted",
+        [this] { return cache_.stats().evictions; });
+  gauge("wfc_cache_store_hits", "Chains adopted from the persistent store",
+        [this] { return cache_.stats().store_hits; });
+  gauge("wfc_cache_pinned", "Cache entries pinned by operators",
+        [this] { return cache_.stats().pinned; });
+  gauge("wfc_store_enabled", "1 when a chain store is attached",
+        [this] { return cache_.store_stats().enabled ? 1 : 0; });
+  gauge("wfc_store_hits", "Store loads served from disk",
+        [this] { return cache_.store_stats().hits; });
+  gauge("wfc_store_misses", "Store lookups with no file",
+        [this] { return cache_.store_stats().misses; });
+  gauge("wfc_store_fallbacks",
+        "Unusable store files (corrupt/truncated/version-skew)",
+        [this] { return cache_.store_stats().fallbacks; });
+  gauge("wfc_store_publishes", "Chain files written",
+        [this] { return cache_.store_stats().publishes; });
+  gauge("wfc_store_publish_skipped",
+        "Publishes skipped (readonly/shallower/budget)",
+        [this] { return cache_.store_stats().publish_skipped; });
+  gauge("wfc_store_files", "Chain files on disk",
+        [this] { return cache_.store_stats().files; });
+  gauge("wfc_store_file_bytes", "Bytes of chain files on disk",
+        [this] { return cache_.store_stats().file_bytes; });
+  gauge("wfc_store_mapped_bytes", "Bytes in live read-only chain mappings",
+        [this] { return cache_.store_stats().mapped_bytes; });
+  gauge("wfc_watchdog_kills", "Hard-timeout force-cancellations",
+        [this] { return watchdog_.stats().kills; });
+  gauge("wfc_watchdog_stuck_reports", "Heartbeat stalls detected",
+        [this] { return watchdog_.stats().stuck_reports; });
+  gauge("wfc_result_memo_entries", "Memoized definitive verdicts",
+        [this] { return memo_.size(); });
+  // Wait-free data plane contention telemetry (src/wf): how hard the
+  // lock-free hot structures are working for their progress guarantees.
+  gauge("wfc_wf_cas_retries", "Failed CAS attempts across wf structures",
+        [] { return wf::telemetry().cas_retries.value(); });
+  gauge("wfc_wf_announces",
+        "Inserts that took the announce (helping) slow path",
+        [] { return wf::telemetry().announces.value(); });
+  gauge("wfc_wf_help_ops", "Announced operations completed by helper threads",
+        [] { return wf::telemetry().help_ops.value(); });
+  gauge("wfc_wf_epoch_advances", "Epoch-reclamation grace periods completed",
+        [] { return wf::telemetry().epoch_advances.value(); });
+  gauge("wfc_wf_epoch_reclaimed", "Deferred nodes freed by epoch reclamation",
+        [] { return wf::telemetry().epoch_reclaimed.value(); });
+  gauge("wfc_wf_evict_scans", "Table slots examined by CLOCK eviction laps",
+        [] { return wf::telemetry().evict_scans.value(); });
 }
 
 QueryService::~QueryService() {
@@ -319,8 +323,7 @@ QueryTicket QueryService::submit(Query query, CompletionFn on_complete) {
     job->deadline = job->submitted + *job->query.options.timeout;
   }
   job->trace = observer_.begin_trace();
-  if (metrics_.submitted != nullptr) {
-    metrics_.submitted->inc();
+  if (metrics_.by_kind[0] != nullptr) {
     metrics_.by_kind[static_cast<int>(job->query.kind())]->inc();
   }
   QueryTicket ticket{job->promise.get_future(), job->cancel};
@@ -717,7 +720,7 @@ QueryResult QueryService::execute(
         const CheckRequest& cq = std::get<CheckRequest>(query.request);
         auto span = trace.span(obs::SpanKind::kCheck);
         switch (cq.target) {
-          case CheckQuery::Target::kSds: {
+          case CheckRequest::Target::kSds: {
             chk::ExploreOptions opts;
             opts.n_procs = cq.procs;
             opts.rounds = cq.rounds;
@@ -741,7 +744,7 @@ QueryResult QueryService::execute(
             }
             break;
           }
-          case CheckQuery::Target::kEmulation: {
+          case CheckRequest::Target::kEmulation: {
             chk::ConformanceOptions opts;
             opts.n_procs = cq.procs;
             opts.shots = cq.shots;
@@ -759,7 +762,7 @@ QueryResult QueryService::execute(
             result.check_violation = report.violation;
             break;
           }
-          case CheckQuery::Target::kLinearizability: {
+          case CheckRequest::Target::kLinearizability: {
             const LinOutcome out = run_linearizability_target(
                 cq, effective_budget, cancel.get(), progress);
             result.check_ok = out.ok;
@@ -817,11 +820,8 @@ QueryResult QueryService::execute(
 }
 
 void QueryService::record(const QueryResult& result) {
-  if (metrics_.by_status[0] != nullptr) {
-    metrics_.by_status[static_cast<int>(result.status)]->inc();
+  if (metrics_.e2e_us != nullptr) {
     metrics_.e2e_us->observe(result.micros);
-    if (result.memoized) metrics_.memo_hits->inc();
-    if (result.degraded) metrics_.degraded->inc();
     if (!result.memoized && !result.is_check &&
         result.solve.nodes_explored > 0) {
       metrics_.search_nodes->observe(result.solve.nodes_explored);

@@ -62,9 +62,11 @@
 // an obs::Observer and every query carries an obs::TraceContext.  Spans
 // cover queue wait, chain builds, the Prop 3.1 search (with node-count
 // checkpoint samples riding the watchdog heartbeat seam), emulation runs,
-// and check sweeps; counters and fixed-bucket histograms mirror
-// ServiceStats exactly (submitted == sum of the per-status counters).
-// Disabled (the default), the layer costs one branch per site.
+// and check sweeps.  Counts ServiceStats keeps are exported as registry
+// views of it (obs/metrics.hpp), so the exposition reconciles by
+// construction; only events nothing else counts get owned counters and
+// fixed-bucket histograms.  Disabled (the default), the layer costs one
+// branch per site.
 #pragma once
 
 #include <atomic>
@@ -106,7 +108,7 @@ struct QueryOptions {
 /// bit-for-bit identical to the model-less query.
 struct SolveRequest {
   std::shared_ptr<const task::Task> task;
-  std::shared_ptr<const model::Model> model;
+  std::shared_ptr<const model::Model> model = nullptr;
 };
 
 /// Compile a §5 convergence map for a simplex-agreement instance.  With a
@@ -115,7 +117,7 @@ struct SolveRequest {
 /// Prop 3.1 solve for the same agreement task.
 struct ConvergenceRequest {
   std::shared_ptr<const task::SimplexAgreementTask> agreement;
-  std::shared_ptr<const model::Model> model;
+  std::shared_ptr<const model::Model> model = nullptr;
 };
 
 /// Run the §4 Figure 2 emulation of the k-shot full-information protocol.
@@ -139,11 +141,8 @@ struct CheckRequest {
   int shots = 1;    // kEmulation: full-information snapshots per client
   bool symmetry = false;  // kSds: symmetry-reduced exploration
   /// kSds: explore only the runs this model admits (null = all runs).
-  std::shared_ptr<const model::Model> model;
+  std::shared_ptr<const model::Model> model = nullptr;
 };
-
-/// Deprecated spelling from the PR-2/3 API; CheckRequest is the same type.
-using CheckQuery = CheckRequest;
 
 /// One request of any family.  The variant index IS the query kind (see
 /// Query::Kind below); adding a family means adding a struct here and a
@@ -347,14 +346,11 @@ class QueryService {
     std::atomic<bool> finished{false};
   };
 
-  /// Metric series the service resolves once at construction (all null when
-  /// obs is disabled, so every instrumentation site is a pointer check).
+  /// Owned metric series the service resolves once at construction (all
+  /// null when obs is disabled, so every instrumentation site is a pointer
+  /// check).  Counts ServiceStats already keeps are registry views instead.
   struct MetricSet {
-    obs::Counter* submitted = nullptr;
     obs::Counter* by_kind[4] = {};          // indexed by Query::Kind
-    obs::Counter* by_status[kNumStatuses] = {};
-    obs::Counter* memo_hits = nullptr;
-    obs::Counter* degraded = nullptr;
     obs::Counter* emu_rounds = nullptr;
     obs::Counter* model_queries = nullptr;       // non-wait_free model set
     obs::Counter* model_runs_admitted = nullptr; // runs kept by restriction
@@ -440,7 +436,7 @@ class QueryService {
                       std::uint64_t effective_budget,
                       std::atomic<std::uint64_t>* progress,
                       const obs::TraceContext& trace);
-  /// Resolves MetricSet series and installs the gauge-refresh hook.
+  /// Registers the stats views and resolves the owned MetricSet series.
   void init_observability();
   void record(const QueryResult& result);
   /// Effective node budget after load degradation; sets *degraded.

@@ -12,6 +12,10 @@
 // monotonically increasing; a snapshot may straddle a query boundary, which
 // is fine for monitoring).
 //
+// These are the service's only books.  The obs layer keeps no second copy:
+// its Prometheus series for these counts are views that read a snapshot at
+// export time, and {"op":"metrics"} renders from one too.
+//
 // Reconciliation invariant (checked by the chaos soak test): once every
 // outstanding future is terminal, submitted == sum over by_status == queries.
 // Nothing is double-counted and nothing vanishes, whatever mix of sheds,
@@ -93,16 +97,6 @@ struct ServiceStats {
 
   [[nodiscard]] std::uint64_t count(Status s) const {
     return by_status[static_cast<int>(s)];
-  }
-  /// Legacy aggregates over the status taxonomy.
-  [[nodiscard]] std::uint64_t cancelled() const {
-    return count(Status::kCancelled) + count(Status::kDeadlineExceeded);
-  }
-  [[nodiscard]] std::uint64_t errors() const {
-    return count(Status::kInvalidArgument) + count(Status::kInternal);
-  }
-  [[nodiscard]] std::uint64_t shed() const {
-    return count(Status::kOverloaded);
   }
   /// True iff every handed-out ticket has reached exactly one terminal
   /// status and the per-status counters add back up to the intake.

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "exposition.hpp"
 #include "net/client.hpp"
 #include "net/loadgen.hpp"
 #include "net/server.hpp"
@@ -412,6 +413,74 @@ TEST(NetServer, DrainFlushesInflightThenCloses) {
   drainer.join();
   // A drained server refuses new connections.
   EXPECT_THROW(ts->connect(), std::system_error);
+}
+
+// ---------------------------------------------------------------------------
+// Wire metrics: the wfc_net_* series are views of Server::Stats.
+// ---------------------------------------------------------------------------
+
+TEST(NetMetrics, WireViewsEqualServerStatsAfterATcpRun) {
+  TestServer ts;
+  const std::vector<std::string> corpus = {
+      R"({"op":"solve","task":"consensus","procs":2,"values":2})",
+      R"({"op":"emulate","procs":2,"shots":1})",
+  };
+  LoadgenConfig config;
+  config.server = Endpoint{"127.0.0.1", ts.server.port()};
+  config.connections = 4;
+  config.iterations = 5;
+  const LoadgenReport report = run_loadgen(corpus, config);
+  ASSERT_TRUE(report.exactly_once());
+  // Let the server close every connection so its counters stop moving.
+  while (ts.server.stats().active != 0 ||
+         ts.server.stats().closed != ts.server.stats().accepted) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  const Server::Stats wire = ts.server.stats();
+  const std::string text = exposition_of(ts.service.observer());
+  EXPECT_EQ(exposed_value(text, "wfc_net_accepted_total"), wire.accepted);
+  EXPECT_EQ(exposed_value(text, "wfc_net_closed_total"), wire.closed);
+  EXPECT_EQ(exposed_value(text, "wfc_net_dropped_total"), wire.dropped);
+  EXPECT_EQ(exposed_value(text, "wfc_net_requests_total"), wire.requests);
+  EXPECT_EQ(exposed_value(text, "wfc_net_responses_total"), wire.responses);
+  EXPECT_EQ(exposed_value(text, "wfc_net_bytes_read_total"),
+            wire.bytes_read);
+  EXPECT_EQ(exposed_value(text, "wfc_net_bytes_written_total"),
+            wire.bytes_written);
+  EXPECT_EQ(exposed_value(text, "wfc_net_active_connections"), wire.active);
+  EXPECT_EQ(wire.accepted, 4u);
+  EXPECT_EQ(wire.requests, report.sent);
+  EXPECT_GT(wire.bytes_read, 0u);
+}
+
+// The server registers its views in the service's registry and is
+// destroyed first; the views share the counters, so a later export still
+// reads the final counts instead of a dead Server.
+TEST(NetMetrics, WireViewsOutliveTheServer) {
+  svc::QueryService service(service_options());
+  constexpr int kRequests = 5;
+  {
+    Server server(service, ServerConfig{});
+    server.start();
+    Client client(ClientConfig{Endpoint{"127.0.0.1", server.port()}});
+    for (int i = 0; i < kRequests; ++i) {
+      EXPECT_EQ(field(parse(client.roundtrip(
+                          R"({"op":"solve","task":"consensus","procs":2,)"
+                          R"("values":2})")),
+                      "status"),
+                "ok");
+    }
+  }
+  const std::string text = exposition_of(service.observer());
+  EXPECT_NE(text.find("\nwfc_net_requests_total " +
+                      std::to_string(kRequests) + "\n"),
+            std::string::npos)
+      << text;
+  // The view is the only copy: an owned counter under its name is refused
+  // rather than handed out reading zero.
+  EXPECT_THROW(service.observer().metrics().counter("wfc_net_requests_total"),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@
 #include <atomic>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -44,10 +47,12 @@ TEST(Metrics, CounterAndGaugeBasics) {
   c.inc(41);
   EXPECT_EQ(c.value(), 42u);
 
-  obs::Gauge g;
-  g.set(7);
-  g.set(3);
-  EXPECT_EQ(g.value(), 3u);
+  // A gauge is a view: the exposition shows its source's current value.
+  MetricsRegistry reg;
+  std::uint64_t depth = 7;
+  reg.gauge_view("wfc_depth", "", "", [&depth] { return depth; });
+  depth = 3;
+  EXPECT_EQ(exposed_value(exposition_of(reg), "wfc_depth"), 3u);
 }
 
 TEST(Metrics, HistogramBucketBoundsAreInclusive) {
@@ -83,7 +88,8 @@ TEST(Metrics, PrometheusTextExpositionShape) {
   MetricsRegistry reg;
   reg.counter("wfc_q_total", "", "Queries").inc(3);
   reg.counter("wfc_q_by_kind_total", R"(kind="solve")").inc(2);
-  reg.gauge("wfc_depth", "", "Queue depth").set(4);
+  reg.counter_view("wfc_view_total", R"(kind="x")", "A view", [] { return 5; });
+  reg.gauge_view("wfc_depth", "", "Queue depth", [] { return 4; });
   Histogram& h = reg.histogram("wfc_lat_us", {10, 100}, "", "Latency");
   h.observe(5);
   h.observe(50);
@@ -98,6 +104,8 @@ TEST(Metrics, PrometheusTextExpositionShape) {
   EXPECT_NE(text.find("wfc_q_total 3"), std::string::npos);
   EXPECT_NE(text.find(R"(wfc_q_by_kind_total{kind="solve"} 2)"),
             std::string::npos);
+  EXPECT_NE(text.find("# TYPE wfc_view_total counter"), std::string::npos);
+  EXPECT_NE(text.find(R"(wfc_view_total{kind="x"} 5)"), std::string::npos);
   EXPECT_NE(text.find("# TYPE wfc_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("wfc_depth 4"), std::string::npos);
   // Histogram buckets are CUMULATIVE in the exposition format.
@@ -107,6 +115,37 @@ TEST(Metrics, PrometheusTextExpositionShape) {
   EXPECT_NE(text.find(R"(wfc_lat_us_bucket{le="+Inf"} 3)"), std::string::npos);
   EXPECT_NE(text.find("wfc_lat_us_sum 555"), std::string::npos);
   EXPECT_NE(text.find("wfc_lat_us_count 3"), std::string::npos);
+}
+
+TEST(Metrics, ViewsStoreNothingAndSumRepeatedSources) {
+  MetricsRegistry reg;
+  std::uint64_t a = 1;
+  std::uint64_t b = 10;
+  reg.counter_view("wfc_wire_total", "", "Wire lines", [&a] { return a; });
+  EXPECT_EQ(exposed_value(exposition_of(reg), "wfc_wire_total"), 1u);
+  // A second source under the same view adds to it (two servers over one
+  // service), and every export reads the sources afresh.
+  reg.counter_view("wfc_wire_total", "", "", [&b] { return b; });
+  a = 2;
+  EXPECT_EQ(exposed_value(exposition_of(reg), "wfc_wire_total"), 12u);
+}
+
+TEST(Metrics, OwnedAndViewSeriesCannotShareAName) {
+  MetricsRegistry reg;
+  reg.counter_view("wfc_view_total", "", "", [] { return 1; });
+  // An owned counter under a view's name would be a second, unused copy
+  // reading zero: refused.
+  EXPECT_THROW(reg.counter("wfc_view_total"), std::invalid_argument);
+  reg.counter("wfc_owned_total").inc();
+  EXPECT_THROW(reg.counter_view("wfc_owned_total", "", "", [] { return 1; }),
+               std::invalid_argument);
+  // Kinds stay fixed too: a counter view is not a gauge.
+  EXPECT_THROW(reg.gauge_view("wfc_view_total", "", "", [] { return 1; }),
+               std::invalid_argument);
+  // The other label sets of a family are separate series.
+  reg.counter_view("wfc_view_total", R"(k="a")", "", [] { return 2; });
+  EXPECT_EQ(exposed_value(exposition_of(reg), R"(wfc_view_total{k="a"})"),
+            2u);
 }
 
 TEST(Metrics, StockBoundsAreStrictlyIncreasing) {
@@ -260,19 +299,21 @@ TEST(Observer, DisabledByDefaultAndHandsOutInertContexts) {
       << "trace ids must be unique per query";
 }
 
-TEST(Observer, GaugeRefreshRunsBeforePrometheusExport) {
+TEST(Observer, GaugeViewsReadTheirSourceAtEachExport) {
   ObsConfig config;
   config.enabled = true;
   Observer observer(config);
-  int refreshes = 0;
-  observer.set_gauge_refresh([&] {
-    ++refreshes;
-    observer.metrics().gauge("wfc_mirror", "", "refreshed").set(99);
+  std::atomic<std::uint64_t> depth{99};
+  int reads = 0;
+  observer.metrics().gauge_view("wfc_depth", "", "live", [&] {
+    ++reads;
+    return depth.load();
   });
-  std::ostringstream out;
-  observer.write_prometheus(out);
-  EXPECT_EQ(refreshes, 1);
-  EXPECT_NE(out.str().find("wfc_mirror 99"), std::string::npos);
+  EXPECT_EQ(reads, 0) << "registering a view must not read it";
+  EXPECT_EQ(exposed_value(exposition_of(observer), "wfc_depth"), 99u);
+  depth = 4;
+  EXPECT_EQ(exposed_value(exposition_of(observer), "wfc_depth"), 4u);
+  EXPECT_EQ(reads, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,22 +337,34 @@ TEST(ServiceObs, CountersReconcileWithServiceStatsAndSpansFlow) {
   }
   for (svc::QueryTicket& t : tickets) (void)t.result.get();
 
+  // The exported series are views of ServiceStats: a scrape shows exactly
+  // the stats snapshot, series by series.
   const svc::ServiceStats stats = service.stats();
-  obs::MetricsRegistry& reg = service.observer().metrics();
-  const std::uint64_t submitted =
-      reg.counter("wfc_queries_submitted_total").value();
+  const std::string text = exposition_of(service.observer());
+  EXPECT_EQ(exposed_value(text, "wfc_queries_submitted_total"),
+            stats.submitted);
+  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kQueries));
   std::uint64_t terminal = 0;
   for (int s = 0; s < svc::kNumStatuses; ++s) {
-    terminal += reg.counter("wfc_queries_terminal_total",
-                            std::string(R"(status=")") +
-                                svc::to_json_token(
-                                    static_cast<svc::Status>(s)) +
-                                R"(")")
-                    .value();
+    const std::optional<std::uint64_t> c = exposed_value(
+        text, std::string(R"(wfc_queries_terminal_total{status=")") +
+                  svc::to_json_token(static_cast<svc::Status>(s)) + R"("})");
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(*c, stats.by_status[s]);
+    terminal += *c;
   }
-  EXPECT_EQ(submitted, static_cast<std::uint64_t>(kQueries));
-  EXPECT_EQ(submitted, stats.submitted);
-  EXPECT_EQ(terminal, submitted) << "every query must reach one terminal";
+  EXPECT_EQ(terminal, stats.submitted) << "every query must reach one terminal";
+  EXPECT_EQ(exposed_value(text, "wfc_result_memo_hits_total"),
+            stats.result_hits);
+  EXPECT_EQ(exposed_value(text, "wfc_queries_degraded_total"),
+            stats.degraded);
+  EXPECT_EQ(exposed_value(text, "wfc_cache_hits"), stats.cache.hits);
+  EXPECT_EQ(exposed_value(text, "wfc_queue_peak_depth"),
+            stats.queue_peak_depth);
+  // Asking for a second copy of a view is refused, not answered with zero.
+  obs::MetricsRegistry& reg = service.observer().metrics();
+  EXPECT_THROW(reg.counter("wfc_queries_submitted_total"),
+               std::invalid_argument);
   EXPECT_EQ(reg.counter("wfc_queries_by_kind_total", R"(kind="solve")")
                 .value(),
             static_cast<std::uint64_t>(kQueries));

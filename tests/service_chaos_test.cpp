@@ -18,11 +18,13 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "exposition.hpp"
 #include "service/chaos.hpp"
 #include "service/query_service.hpp"
 #include "service/sds_cache.hpp"
@@ -495,14 +497,13 @@ TEST(ChaosSoak, StormPreservesEveryInvariant) {
       }
     }
 
-    // Mid-storm the obs layer must agree with the service on admissions
-    // (submit() bumps the counter synchronously) and the trace ring must be
-    // absorbing spans despite the injected faults.
-    EXPECT_EQ(service.observer()
-                  .metrics()
-                  .counter("wfc_queries_submitted_total")
-                  .value(),
+    // Mid-storm the exported view must agree with the service on
+    // admissions (submit() bumps ServiceStats synchronously) and the trace
+    // ring must be absorbing spans despite the injected faults.
+    EXPECT_EQ(exposed_value(exposition_of(service.observer()),
+                            "wfc_queries_submitted_total"),
               submitted);
+    EXPECT_EQ(service.stats().submitted, submitted);
     ASSERT_NE(service.observer().trace(), nullptr);
     EXPECT_GT(service.observer().trace()->recorded(), 0u);
 
@@ -562,20 +563,21 @@ TEST(ChaosSoak, StatsReconcileAfterAStormThatRunsToCompletion) {
   EXPECT_EQ(stats.submitted, 200u);
   EXPECT_TRUE(stats.reconciles()) << stats.to_string();
 
-  // The obs registry reconciles with ServiceStats after the same storm:
-  // the submitted counter matches and the per-status terminal counters sum
-  // back to it, despite cancellations, drop-oldest evictions, and injected
-  // build faults.
-  obs::MetricsRegistry& reg = service.observer().metrics();
-  EXPECT_EQ(reg.counter("wfc_queries_submitted_total").value(),
+  // The exposition agrees with ServiceStats after the same storm: the
+  // submitted view matches and the per-status terminal views sum back to
+  // it, despite cancellations, drop-oldest evictions, and injected build
+  // faults.
+  const std::string text = exposition_of(service.observer());
+  EXPECT_EQ(exposed_value(text, "wfc_queries_submitted_total"),
             stats.submitted);
   std::uint64_t obs_terminal = 0;
   for (int s = 0; s < kNumStatuses; ++s) {
-    obs_terminal +=
-        reg.counter("wfc_queries_terminal_total",
-                    std::string(R"(status=")") +
-                        to_json_token(static_cast<Status>(s)) + R"(")")
-            .value();
+    const std::optional<std::uint64_t> c = exposed_value(
+        text, std::string(R"(wfc_queries_terminal_total{status=")") +
+                  to_json_token(static_cast<Status>(s)) + R"("})");
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(*c, stats.by_status[s]);
+    obs_terminal += *c;
   }
   EXPECT_EQ(obs_terminal, stats.submitted);
   // The service survived injected faults and still answers correctly.
