@@ -125,7 +125,7 @@ void BM_DerivedTowerCold(benchmark::State& state) {
     const auto full = cache.chain_for(input, depth);
     state.ResumeTiming();
     bool built = false;
-    auto derived = cache.derived_chain_for(
+    auto derived = cache.acquire(
         key, m->tag(), depth,
         [&](std::shared_ptr<const proto::SdsChain> prior, int d) {
           return model::restricted_tower(*full, d, *m, prior);
@@ -154,12 +154,11 @@ void BM_DerivedTowerWarm(benchmark::State& state) {
     return model::restricted_tower(*full, d, *m, prior);
   };
   bool built = false;
-  cache.derived_chain_for(key, m->tag(), depth, builder, &built);
+  cache.acquire(key, m->tag(), depth, builder, &built);
   std::uint64_t builds = 0;
   for (auto _ : state) {
     bool hit_built = false;
-    auto derived =
-        cache.derived_chain_for(key, m->tag(), depth, builder, &hit_built);
+    auto derived = cache.acquire(key, m->tag(), depth, builder, &hit_built);
     benchmark::DoNotOptimize(derived);
     if (hit_built) ++builds;
   }

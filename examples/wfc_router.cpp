@@ -15,7 +15,7 @@
 //              [--no-obs] [--router-id S] [--random-routing] [--quiet]
 //              [--probe-interval-ms N] [--probe-timeout-ms N]
 //              [--probe-down-after N] [--retry-budget N]
-//              [--retry-budget-per-sec F] [--no-deadline-propagation]
+//              [--retry-budget-per-sec F] [--store-readonly]
 //
 // Active probing is ON here (1s interval) unlike the library default;
 // --probe-interval-ms 0 turns it off.
@@ -50,16 +50,12 @@ int usage() {
       "                  [--random-routing] [--quiet]\n"
       "                  [--probe-interval-ms N] [--probe-timeout-ms N]\n"
       "                  [--probe-down-after N] [--retry-budget N]\n"
-      "                  [--retry-budget-per-sec F]\n"
-      "                  [--no-deadline-propagation]\n"
-      "                  [--store-dir PATH] [--store-readonly]\n"
-      "                  [--store-max-bytes N]\n"
+      "                  [--retry-budget-per-sec F] [--store-readonly]\n"
       "Routes JSONL v2 queries to wfc_serve shards by consistent hash of\n"
       "the task fingerprint.  \"--listen :0\" binds an ephemeral port;\n"
       "--port-file writes it once accepting.\n"
-      "{\"op\":\"store\"} fans out to every shard and aggregates; the\n"
-      "--store-* flags document the cluster store posture (--store-readonly\n"
-      "makes this router refuse to forward publish).\n");
+      "{\"op\":\"store\"} fans out to every shard and aggregates;\n"
+      "--store-readonly makes this router refuse to forward publish.\n");
   return 2;
 }
 
@@ -139,14 +135,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--retry-budget-per-sec" && i + 1 < argc) {
         config.retry_budget_per_sec = std::atof(argv[++i]);
         config.shard_retry_budget_per_sec = config.retry_budget_per_sec / 2;
-      } else if (arg == "--no-deadline-propagation") {
-        config.propagate_deadlines = false;
-      } else if (arg == "--store-dir" && next_str(value)) {
-        config.store_dir = value;
       } else if (arg == "--store-readonly") {
         config.store_readonly = true;
-      } else if (arg == "--store-max-bytes" && i + 1 < argc) {
-        config.store_max_bytes = std::strtoull(argv[++i], nullptr, 10);
       } else if (arg == "--quiet") {
         quiet = true;
       } else {

@@ -104,9 +104,6 @@ int serve_tcp(const wfc::svc::ServeConfig& config,
   server_config.handler.legacy_envelope = config.legacy_envelope;
   server_config.handler.max_line_bytes = config.max_line_bytes;
   server_config.handler.server_id = shard_id;
-  server_config.handler.warn = [](const std::string& note) {
-    std::fprintf(stderr, "wfc_serve: %s\n", note.c_str());
-  };
 
   wfc::net::Server server(service, server_config);
   server.start();

@@ -11,9 +11,7 @@
 #include <utility>
 
 #include "common/version.hpp"
-#include "net/loadgen.hpp"
 #include "service/jsonl.hpp"
-#include "service/status.hpp"
 
 namespace wfc::cluster {
 
@@ -21,15 +19,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Mirrors the handler's error_record shape so router-side failures read
-/// exactly like shard-side ones.
-std::string error_line(const std::string& id, int line_no, const char* status,
-                       const std::string& message, int retry_after_ms = 0) {
-  svc::JsonWriter w;
-  if (!id.empty()) w.field("id", id);
-  w.field("status", status).field("line", line_no).field("error", message);
-  if (retry_after_ms > 0) w.field("retry_after_ms", retry_after_ms);
-  return w.str();
+/// Total sends per request (first dispatch + re-dispatches; hedges not
+/// counted) before it resolves overloaded.
+constexpr int kMaxAttempts = 3;
+
+/// Consecutive failed probes that mark a shard Suspect (probe_down_after
+/// mark it Down).
+constexpr int kProbeSuspectAfter = 1;
+
+/// The membership ops only the router implements; like svc::is_control_op
+/// ops they take the control path.
+bool is_cluster_op(std::string_view op) {
+  return op == "cluster_stats" || op == "cluster_add" ||
+         op == "cluster_remove" || op == "cluster_drain";
 }
 
 /// splitmix64 -- spreads the request sequence uniformly for the random-
@@ -63,6 +65,25 @@ std::int64_t int_or(const svc::Fields& fields, const char* key,
 }
 
 }  // namespace
+
+std::uint64_t routing_key(const svc::Fields& fields) {
+  // The canonical (task, model) identity: the fields RequestHandler interns
+  // tasks by plus the model, so one fingerprint == one warm shard cache of
+  // that model's restricted towers.  An explicit wait_free is dropped to
+  // hash identically to omitting the field (the handler normalizes the
+  // same way).
+  std::string key;
+  for (const auto& [k, v] : fields) {
+    if (svc::is_non_task_field(k) || (k == "model" && v == "wait_free")) {
+      continue;
+    }
+    key += k;
+    key += '=';
+    key += v;
+    key += ';';
+  }
+  return fnv1a64(key);
+}
 
 // ---------------------------------------------------------------------------
 // TokenBucket.
@@ -140,7 +161,6 @@ struct Router::Pending {
   std::string client_id;  // raw (unescaped) client id
   bool had_id = false;
   int line_no = 0;
-  std::string op;
   std::string wire;  // rid-stamped request line, reused by hedge/re-dispatch
   /// Deadline propagation: the client's timeout_ms and the wire line with
   /// that field stripped, so wire_now() can re-stamp the REMAINING budget
@@ -233,8 +253,7 @@ void Router::stop() {
   }
   for (const std::uint64_t seq : leftover) {
     if (auto p = take_pending(seq, Cause::kFailed)) {
-      resolve_error(p, svc::to_json_token(svc::Status::kOverloaded),
-                    "router shutting down", true);
+      resolve_error(p, svc::Status::kOverloaded, "router shutting down", true);
     }
   }
 }
@@ -245,40 +264,25 @@ void Router::stop() {
 net::LineBackend::Outcome Router::on_line(std::string_view line, int line_no,
                                           Done done) {
   Outcome out;
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  if (config_.max_line_bytes != 0 && line.size() > config_.max_line_bytes) {
-    out.kind = Outcome::Kind::kRespond;
-    out.response = error_line(
-        "", line_no, svc::to_json_token(svc::Status::kInvalidArgument),
-        "request line exceeds " + std::to_string(config_.max_line_bytes) +
-            " bytes");
-    return out;
+  svc::RequestLine read = svc::read_request(line, line_no,
+                                            config_.max_line_bytes);
+  switch (read.kind) {
+    case svc::RequestLine::Kind::kSkip:
+      return out;
+    case svc::RequestLine::Kind::kError:
+      out.kind = Outcome::Kind::kRespond;
+      out.response = std::move(read.error);
+      return out;
+    case svc::RequestLine::Kind::kRequest:
+      break;
   }
-  const std::size_t first = line.find_first_not_of(" \t");
-  if (first == std::string_view::npos || line[first] == '#') {
-    return out;  // kSkip
-  }
-  svc::Fields fields;
-  try {
-    fields = svc::parse_flat_json(line);
-  } catch (const std::exception& e) {
-    out.kind = Outcome::Kind::kRespond;
-    out.response = error_line(
-        "", line_no, svc::to_json_token(svc::Status::kInvalidArgument),
-        e.what());
-    return out;
-  }
-  const auto op_it = fields.find("op");
-  const std::string op = op_it == fields.end() ? "solve" : op_it->second;
-  if (op == "stats" || op == "metrics" || op == "trace" || op == "info" ||
-      op == "store" || op == "cluster_stats" || op == "cluster_add" ||
-      op == "cluster_remove" || op == "cluster_drain") {
+  if (svc::is_control_op(read.op) || is_cluster_op(read.op)) {
     out.kind = Outcome::Kind::kControl;
     return out;
   }
-  // Everything else -- solves, checks, unknown ops, legacy bare task lines
-  // -- is the shards' business; forward and relay their verdict verbatim.
-  return submit(fields, line, line_no, std::move(done));
+  // Everything else -- solves, checks, unknown and missing ops -- is the
+  // shards' business; forward and relay their verdict verbatim.
+  return submit(read.fields, read.text, line_no, std::move(done));
 }
 
 net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
@@ -292,8 +296,8 @@ net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
     if (pending_.size() >= config_.max_pending) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       out.kind = Outcome::Kind::kRespond;
-      out.response = error_line(
-          client_id, line_no, svc::to_json_token(svc::Status::kOverloaded),
+      out.response = svc::error_record(
+          client_id, line_no, svc::Status::kOverloaded,
           "router pending table full", jittered_retry_after());
       return out;
     }
@@ -305,11 +309,11 @@ net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
   p->client_id = client_id;
   p->had_id = id_it != fields.end();
   p->line_no = line_no;
-  const auto op_it = fields.find("op");
-  p->op = op_it == fields.end() ? "solve" : op_it->second;
-  p->key = make_key(fields);
+  // The random-routing control arm spreads keys uniformly instead.
+  p->key = config_.random_routing ? mix64(p->seq) : routing_key(fields);
   p->done = std::move(done);
   p->submitted = Clock::now();
+  p->wire = svc::with_id(svc::strip_field(std::string(line), "id"), p->rid);
 
   const std::int64_t timeout_ms = int_or(fields, "timeout_ms", 0);
   if (timeout_ms > 0) {
@@ -321,16 +325,15 @@ net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
       if (lead < config_.hedge_min) lead = config_.hedge_min;
       p->hedge_at = p->submitted + lead;
     }
+    // Deadline propagation: hedges and re-dispatches carry the REMAINING
+    // client budget (wire_now).
+    p->timeout_ms = timeout_ms;
+    p->wire_base = svc::strip_field(p->wire, "timeout_ms");
   } else {
     p->deadline = p->submitted + config_.pending_timeout;
     if (config_.hedge_after.count() > 0) {
       p->hedge_at = p->submitted + config_.hedge_after;
     }
-  }
-  p->wire = net::with_id(net::strip_id_field(std::string(line)), p->rid);
-  if (config_.propagate_deadlines && timeout_ms > 0) {
-    p->timeout_ms = timeout_ms;
-    p->wire_base = net::strip_field(p->wire, "timeout_ms");
   }
 
   {
@@ -346,38 +349,14 @@ net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
     if (auto taken = take_pending(p->seq, Cause::kFailed)) {
       // Resolve inline: the Done callback is unused and dropped with `out`.
       out.kind = Outcome::Kind::kRespond;
-      out.response = error_line(
-          client_id, line_no, svc::to_json_token(svc::Status::kOverloaded),
-          "no shard available", jittered_retry_after());
+      out.response =
+          svc::error_record(client_id, line_no, svc::Status::kOverloaded,
+                            "no shard available", jittered_retry_after());
       return out;
     }
   }
   out.kind = Outcome::Kind::kSubmitted;
   return out;
-}
-
-std::uint64_t Router::make_key(const svc::Fields& fields) {
-  if (config_.random_routing) {
-    return mix64(seq_.load(std::memory_order_relaxed) + 1);
-  }
-  // The canonical (task, model) identity: the fields RequestHandler interns
-  // tasks by plus the model, so one fingerprint == one warm shard cache of
-  // that model's restricted towers.  An explicit wait_free is dropped to
-  // hash identically to omitting the field (the handler normalizes the
-  // same way).
-  std::string key;
-  for (const auto& [k, v] : fields) {
-    if (k == "id" || k == "op" || k == "max_level" || k == "budget" ||
-        k == "timeout_ms") {
-      continue;
-    }
-    if (k == "model" && v == "wait_free") continue;
-    key += k;
-    key += '=';
-    key += v;
-    key += ';';
-  }
-  return fnv1a64(key);
 }
 
 Ring::Accept Router::accept_predicate(bool skip_backoff) const {
@@ -612,7 +591,7 @@ void Router::redispatch_orphans(
     bool exhausted = false;
     {
       std::lock_guard<std::mutex> gl(p->mu);
-      exhausted = p->attempts >= config_.max_attempts;
+      exhausted = p->attempts >= kMaxAttempts;
     }
     if (!exhausted) {
       // Budget first: under a mass failure the bucket drains after the
@@ -620,7 +599,7 @@ void Router::redispatch_orphans(
       // amplification a dying shard can inflict on the survivors.
       if (!charge_retry(shard)) {
         if (auto taken = take_pending(p->seq, Cause::kFailed)) {
-          resolve_error(taken, svc::to_json_token(svc::Status::kOverloaded),
+          resolve_error(taken, svc::Status::kOverloaded,
                         "retry budget exhausted", true);
         }
         continue;
@@ -631,8 +610,7 @@ void Router::redispatch_orphans(
       if (!wire) {
         hop_deadline_expired_.fetch_add(1, std::memory_order_relaxed);
         if (auto taken = take_pending(p->seq, Cause::kTimeout)) {
-          resolve_error(taken,
-                        svc::to_json_token(svc::Status::kDeadlineExceeded),
+          resolve_error(taken, svc::Status::kDeadlineExceeded,
                         "client deadline passed before re-dispatch", false);
         }
         continue;
@@ -650,7 +628,7 @@ void Router::redispatch_orphans(
       }
     }
     if (auto taken = take_pending(p->seq, Cause::kFailed)) {
-      resolve_error(taken, svc::to_json_token(svc::Status::kOverloaded),
+      resolve_error(taken, svc::Status::kOverloaded,
                     exhausted ? "shard connection lost repeatedly"
                               : "shard connection lost, no shard available",
                     true);
@@ -697,16 +675,16 @@ void Router::resolve_response(const std::shared_ptr<Pending>& p,
   }
   // The id splice: our "r<seq>" comes out, the client's own id (escaped
   // again -- parse_flat_json unescaped it) goes back in.
-  std::string out = net::strip_id_field(response);
-  if (p->had_id) out = net::with_id(out, svc::json_escape(p->client_id));
+  std::string out = svc::strip_field(response, "id");
+  if (p->had_id) out = svc::with_id(out, svc::json_escape(p->client_id));
   p->done(std::move(out));
 }
 
 void Router::resolve_error(const std::shared_ptr<Pending>& p,
-                           const char* status, const std::string& message,
+                           svc::Status status, const std::string& message,
                            bool retryable) {
-  p->done(error_line(p->had_id ? p->client_id : "", p->line_no, status,
-                     message, retryable ? jittered_retry_after() : 0));
+  p->done(svc::error_record(p->had_id ? p->client_id : "", p->line_no, status,
+                            message, retryable ? jittered_retry_after() : 0));
 }
 
 // ---------------------------------------------------------------------------
@@ -738,7 +716,7 @@ void Router::maintenance_thread() {
     }
     for (const std::uint64_t seq : to_timeout) {
       if (auto p = take_pending(seq, Cause::kTimeout)) {
-        resolve_error(p, svc::to_json_token(svc::Status::kDeadlineExceeded),
+        resolve_error(p, svc::Status::kDeadlineExceeded,
                       "router: no response from cluster before deadline",
                       false);
       }
@@ -831,7 +809,7 @@ void Router::probe_shard(const std::shared_ptr<Shard>& shard) {
   int next;
   if (streak >= config_.probe_down_after) {
     next = 2;
-  } else if (streak >= config_.probe_suspect_after) {
+  } else if (streak >= kProbeSuspectAfter) {
     next = 1;
   } else {
     return;
@@ -890,14 +868,15 @@ std::optional<std::string> Router::wire_now(
   return out;
 }
 
-int Router::jittered_retry_after() const {
+std::uint64_t Router::jittered_retry_after() const {
   const int base = config_.retry_after_ms;
-  if (base <= 1) return base;
+  if (base <= 1) return static_cast<std::uint64_t>(std::max(base, 0));
   // Uniform in [base/2, base*3/2] off a private splitmix lane, so a burst
   // of synchronized rejections fans back in spread out.
   const std::uint64_t z =
       mix64(retry_jitter_.fetch_add(1, std::memory_order_relaxed));
-  return base / 2 + static_cast<int>(z % static_cast<std::uint64_t>(base + 1));
+  return static_cast<std::uint64_t>(base / 2) +
+         z % static_cast<std::uint64_t>(base + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -948,18 +927,14 @@ bool Router::drain_shard(const std::string& id) {
 // Control plane.
 
 std::string Router::control(std::string_view line, int line_no) {
-  svc::Fields fields;
-  try {
-    fields = svc::parse_flat_json(line);
-  } catch (const std::exception& e) {
-    return error_line("", line_no,
-                      svc::to_json_token(svc::Status::kInvalidArgument),
-                      e.what());
-  }
+  // on_line classified this line kControl, so it reads as a request again.
+  svc::RequestLine read = svc::read_request(line, line_no,
+                                            config_.max_line_bytes);
+  if (read.kind != svc::RequestLine::Kind::kRequest) return read.error;
+  const svc::Fields& fields = read.fields;
+  const std::string& op = read.op;
   const auto id_it = fields.find("id");
   const std::string id = id_it == fields.end() ? "" : id_it->second;
-  const auto op_it = fields.find("op");
-  const std::string op = op_it == fields.end() ? "" : op_it->second;
   if (op == "cluster_stats") return render_cluster_stats(id);
   if (op == "info") return render_info(id);
   if (op == "metrics") return render_metrics(id);
@@ -978,21 +953,18 @@ std::string Router::control(std::string_view line, int line_no) {
            " rejected=" + std::to_string(s.rejected);
   }
   if (op == "trace") {
-    return error_line(id, line_no,
-                      svc::to_json_token(svc::Status::kInvalidArgument),
-                      "trace is not available on the router");
+    return svc::error_record(id, line_no, svc::Status::kInvalidArgument,
+                             "trace is not available on the router");
   }
   if (op == "cluster_add" || op == "cluster_remove" || op == "cluster_drain") {
     if (!config_.admin_ops) {
-      return error_line(id, line_no,
-                        svc::to_json_token(svc::Status::kInvalidArgument),
-                        "cluster admin ops are disabled on this router");
+      return svc::error_record(id, line_no, svc::Status::kInvalidArgument,
+                               "cluster admin ops are disabled on this router");
     }
     return render_membership_op(fields, op);
   }
-  return error_line(id, line_no,
-                    svc::to_json_token(svc::Status::kInvalidArgument),
-                    "unknown control op \"" + op + "\"");
+  return svc::error_record(id, line_no, svc::Status::kInvalidArgument,
+                           "unknown control op \"" + op + "\"");
 }
 
 std::size_t Router::shard_count() const {
@@ -1156,15 +1128,13 @@ std::string Router::render_store_op(const svc::Fields& fields,
       action_it == fields.end() ? "stats" : action_it->second;
   if (action != "stats" && action != "warm" && action != "shed" &&
       action != "pin" && action != "unpin" && action != "publish") {
-    return error_line(id, line_no,
-                      svc::to_json_token(svc::Status::kInvalidArgument),
-                      "unknown store action \"" + action + "\"");
+    return svc::error_record(id, line_no, svc::Status::kInvalidArgument,
+                             "unknown store action \"" + action + "\"");
   }
   if (action == "publish" && config_.store_readonly) {
-    return error_line(id, line_no,
-                      svc::to_json_token(svc::Status::kInvalidArgument),
-                      "store publish: this router treats the cluster store "
-                      "as read-only (--store-readonly)");
+    return svc::error_record(id, line_no, svc::Status::kInvalidArgument,
+                             "store publish: this router treats the cluster "
+                             "store as read-only (--store-readonly)");
   }
   // Forward a minimal request (id stripped: shard responses are consumed
   // here, not relayed).  Shards keep their own transport gating -- publish
@@ -1250,11 +1220,7 @@ std::string Router::render_store_op(const svc::Fields& fields,
       .field("shards", static_cast<std::uint64_t>(snapshot.size()))
       .field("shards_ok", shards_ok)
       .field("shards_failed", shards_failed);
-  if (!config_.store_dir.empty()) w.field("store_dir", config_.store_dir);
   if (config_.store_readonly) w.field("store_readonly", true);
-  if (config_.store_max_bytes != 0) {
-    w.field("store_max_bytes", config_.store_max_bytes);
-  }
   for (const char* key : kSummed) {
     if (const auto it = totals.find(key); it != totals.end()) {
       w.field(key, it->second);
@@ -1276,9 +1242,8 @@ std::string Router::render_membership_op(const svc::Fields& fields,
   const std::string id = id_it == fields.end() ? "" : id_it->second;
   const auto shard_it = fields.find("shard");
   if (shard_it == fields.end() || shard_it->second.empty()) {
-    return error_line(id, 0,
-                      svc::to_json_token(svc::Status::kInvalidArgument),
-                      op + ": missing \"shard\"");
+    return svc::error_record(id, 0, svc::Status::kInvalidArgument,
+                             op + ": missing \"shard\"");
   }
   const std::string& shard = shard_it->second;
   bool ok = false;
@@ -1286,9 +1251,9 @@ std::string Router::render_membership_op(const svc::Fields& fields,
     const auto host_it = fields.find("host");
     const std::int64_t port = int_or(fields, "port", 0);
     if (host_it == fields.end() || port <= 0 || port > 65535) {
-      return error_line(id, 0,
-                        svc::to_json_token(svc::Status::kInvalidArgument),
-                        "cluster_add: missing or invalid \"host\"/\"port\"");
+      return svc::error_record(
+          id, 0, svc::Status::kInvalidArgument,
+          "cluster_add: missing or invalid \"host\"/\"port\"");
     }
     ShardSpec spec;
     spec.id = shard;
@@ -1301,11 +1266,10 @@ std::string Router::render_membership_op(const svc::Fields& fields,
     ok = drain_shard(shard);
   }
   if (!ok) {
-    return error_line(id, 0,
-                      svc::to_json_token(svc::Status::kInvalidArgument),
-                      op + ": " + (op == "cluster_add"
-                                       ? "shard id already exists"
-                                       : "unknown shard id"));
+    return svc::error_record(id, 0, svc::Status::kInvalidArgument,
+                             op + ": " + (op == "cluster_add"
+                                              ? "shard id already exists"
+                                              : "unknown shard id"));
   }
   svc::JsonWriter w;
   if (!id.empty()) w.field("id", id);

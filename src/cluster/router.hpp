@@ -15,12 +15,13 @@
 // router: duplicate upstream responses (hedges, retried shards) resolve
 // the same pending entry, and only the first wins.
 //
-// Fingerprint routing.  The routing key hashes exactly the fields that
-// identify the canonical task (everything except id/op/max_level/budget/
-// timeout_ms -- the same identity svc::RequestHandler interns tasks by),
-// so repeats of a task land on the shard whose SDS-chain cache and result
-// memo are already warm.  bench_cluster quantifies the win over random
-// routing.
+// Fingerprint routing.  The routing key (routing_key below) hashes exactly
+// the fields that identify the canonical task -- everything except
+// svc::kNonTaskFields, the same identity svc::RequestHandler interns tasks
+// by -- so repeats of a task land on the shard whose SDS-chain cache and
+// result memo are already warm.  bench_cluster quantifies the win over
+// random routing.  The router reads each line with svc::read_request, the
+// reader shards run, and answers bad lines with the same error records.
 //
 // Resilience:
 //   * hedged requests -- when a query carries timeout_ms and no response
@@ -35,9 +36,14 @@
 //     off (then the primary is used anyway: degraded beats down);
 //   * re-dispatch -- when a connection dies, unresolved requests whose only
 //     outstanding send was on that connection are re-routed to the current
-//     ring target (bounded by max_attempts).  A shard that already
+//     ring target (3 sends at most).  A shard that already
 //     executed such a request before dying cost a duplicate EXECUTION, but
 //     the pending latch still guarantees a single RESPONSE;
+//   * deadline propagation -- hedges and re-dispatches carry timeout_ms
+//     rewritten to the REMAINING client budget (original minus time already
+//     burned at this hop), and a request whose budget is spent fast-fails
+//     deadline_exceeded instead -- a shard never executes a query whose
+//     client already gave up;
 //   * drain -- a draining shard stops receiving new keys (its arcs fall to
 //     the successors) while its inflight requests finish normally; remove
 //     then detaches it entirely, re-dispatching whatever was left.
@@ -52,8 +58,8 @@
 //   {"op":"stats"}                      one-line human summary
 //   {"op":"metrics"}                    flat-JSON reconciliation line
 //   {"op":"trace"}                      rejected (no trace ring here)
-// Everything else ("solve", "check", unknown ops, legacy bare task lines)
-// is forwarded verbatim -- shards own the protocol's semantics; the router
+// Everything else ("solve", "check", unknown and missing ops) is forwarded
+// verbatim -- shards own the protocol's semantics; the router
 // stays thin.  cluster_add/remove/drain mutate membership and are meant
 // for a trusted network; RouterConfig::admin_ops turns them off.
 #pragma once
@@ -78,6 +84,7 @@
 #include "net/client.hpp"
 #include "net/socket.hpp"
 #include "obs/obs.hpp"
+#include "service/jsonl.hpp"
 
 namespace wfc::cluster {
 
@@ -124,9 +131,6 @@ struct RouterConfig {
   std::chrono::milliseconds pending_grace{2'000};
   /// Maintenance cadence (hedging, timeouts).
   std::chrono::milliseconds tick{10};
-  /// Total sends per request (first dispatch + re-dispatches; hedges not
-  /// counted) before it resolves overloaded.
-  int max_attempts = 3;
   /// Base retry_after_ms hint stamped on router-side rejections.  The
   /// stamped value is jittered uniformly in [base/2, base*3/2] so a burst
   /// of synchronized rejections fans back in spread out instead of
@@ -134,9 +138,9 @@ struct RouterConfig {
   int retry_after_ms = 100;
   /// Active health probing: every probe_interval a dedicated thread opens
   /// a fresh connection to each shard and roundtrips {"op":"info"} under
-  /// probe_timeout.  probe_suspect_after consecutive failures mark the
-  /// shard Suspect (routed around while healthy alternatives exist);
-  /// probe_down_after mark it Down -- evicted from the candidate set and
+  /// probe_timeout.  One failure marks the shard Suspect (routed around
+  /// while healthy alternatives exist); probe_down_after in a row mark it
+  /// Down -- evicted from the candidate set and
   /// its unresolved sends re-dispatched immediately, instead of waiting
   /// out pending_timeout.  One probe success restores Up.  This is what
   /// catches the failures a dead socket never reports: blackholed,
@@ -144,7 +148,6 @@ struct RouterConfig {
   /// 0 disables probing (the library default; wfc_router enables it).
   std::chrono::milliseconds probe_interval{0};
   std::chrono::milliseconds probe_timeout{500};
-  int probe_suspect_after = 1;
   int probe_down_after = 3;
   /// Retry budgets: token buckets capping re-dispatches and hedges so a
   /// sick cluster degrades to fast-fail instead of a retry storm.  The
@@ -155,26 +158,16 @@ struct RouterConfig {
   int retry_budget_burst = 64;
   double shard_retry_budget_per_sec = 16.0;
   int shard_retry_budget_burst = 32;
-  /// Deadline propagation: rewrite timeout_ms on hedges and re-dispatches
-  /// to the REMAINING client budget (original minus time already burned
-  /// at this hop) and fast-fail deadline_exceeded instead of forwarding
-  /// once it reaches zero -- a shard never executes a query whose client
-  /// already gave up.
-  bool propagate_deadlines = true;
   /// Ignore fingerprints and spread keys uniformly (the bench's control
   /// arm for the cache-locality experiment).
   bool random_routing = false;
   /// Allow cluster_add/remove/drain over the wire.
   bool admin_ops = true;
-  /// Cluster-wide chain-store posture.  The router holds no store itself;
-  /// {"op":"store"} fans out to every shard and aggregates.  `store_dir`
-  /// and `store_max_bytes` are operator documentation echoed in the
-  /// aggregate (the shards own the actual directory); `store_readonly`
-  /// makes the ROUTER refuse to forward publish at all, a cluster-level
-  /// guard on top of each shard's own transport gating.
-  std::string store_dir;
+  /// The router holds no chain store itself; {"op":"store"} fans out to
+  /// every shard and aggregates.  `store_readonly` makes the ROUTER refuse
+  /// to forward publish at all, a cluster-level guard on top of each
+  /// shard's own transport gating.
   bool store_readonly = false;
-  std::uint64_t store_max_bytes = 0;
   /// Router-local observability: the front server's connection spans and
   /// wfc_net_* views.  Router counts live in Stats, served as flat JSON by
   /// {"op":"metrics"} and {"op":"cluster_stats"}.
@@ -185,6 +178,11 @@ struct RouterConfig {
   /// discards.
   std::function<void(const std::string&)> log;
 };
+
+/// The routing fingerprint of a request's fields: FNV-1a over "k=v;" for
+/// every field in key order except svc::kNonTaskFields and an explicit
+/// "model":"wait_free" (which routes like no model).
+[[nodiscard]] std::uint64_t routing_key(const svc::Fields& fields);
 
 /// A small mutex-guarded token bucket: `burst` capacity, `per_sec`
 /// steady refill, one token per take.  burst <= 0 disables the bucket
@@ -280,7 +278,6 @@ class Router : public net::LineBackend {
   bool send_on_shard(const std::shared_ptr<Shard>& shard,
                      const std::shared_ptr<Pending>& p,
                      const std::string& wire);
-  [[nodiscard]] std::uint64_t make_key(const svc::Fields& fields);
 
   // Upstream path.
   void conn_reader(std::shared_ptr<Shard> shard, UpstreamConn* conn);
@@ -297,7 +294,7 @@ class Router : public net::LineBackend {
   std::shared_ptr<Pending> take_pending(std::uint64_t seq, Cause cause);
   void resolve_response(const std::shared_ptr<Pending>& p,
                         std::string&& response, const std::string& shard_id);
-  void resolve_error(const std::shared_ptr<Pending>& p, const char* status,
+  void resolve_error(const std::shared_ptr<Pending>& p, svc::Status status,
                      const std::string& message, bool retryable);
 
   // Maintenance.
@@ -322,7 +319,7 @@ class Router : public net::LineBackend {
   /// Charges one retry against the global and `shard` buckets; on refusal
   /// counts budget_exhausted and returns false.
   bool charge_retry(const std::shared_ptr<Shard>& shard);
-  [[nodiscard]] int jittered_retry_after() const;
+  [[nodiscard]] std::uint64_t jittered_retry_after() const;
 
   // Membership helpers.
   void start_shard(const std::shared_ptr<Shard>& shard);

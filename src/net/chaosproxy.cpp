@@ -25,14 +25,6 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kReadChunk = 64 * 1024;
 
-std::string error_line(const std::string& id, int line_no, const char* status,
-                       const std::string& message) {
-  svc::JsonWriter w;
-  if (!id.empty()) w.field("id", id);
-  w.field("status", status).field("line", line_no).field("error", message);
-  return w.str();
-}
-
 std::int64_t int_or(const svc::Fields& fields, const char* key,
                     std::int64_t fallback) {
   const auto it = fields.find(key);
@@ -572,26 +564,18 @@ ChaosProxy::Outcome ChaosProxy::on_line(std::string_view line, int line_no,
                                         Done done) {
   (void)done;
   Outcome out;
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  const std::size_t first = line.find_first_not_of(" \t");
-  if (first == std::string_view::npos || line[first] == '#') {
-    return out;  // kSkip
-  }
+  svc::RequestLine read = svc::read_request(line, line_no, max_line_bytes());
+  if (read.kind == svc::RequestLine::Kind::kSkip) return out;
   out.kind = Outcome::Kind::kRespond;
-  svc::Fields fields;
-  try {
-    fields = svc::parse_flat_json(line);
-  } catch (const std::exception& e) {
-    out.response = error_line(
-        "", line_no, svc::to_json_token(svc::Status::kInvalidArgument),
-        e.what());
+  if (read.kind == svc::RequestLine::Kind::kError) {
+    out.response = std::move(read.error);
     return out;
   }
+  const svc::Fields& fields = read.fields;
+  const std::string& op = read.op;
   const auto id_it = fields.find("id");
   const std::string id =
       id_it == fields.end() ? "" : svc::json_escape(id_it->second);
-  const auto op_it = fields.find("op");
-  const std::string op = op_it == fields.end() ? "" : op_it->second;
   if (op == "fault") {
     out.response = handle_fault(fields, id);
   } else if (op == "chaos_stats") {
@@ -599,9 +583,9 @@ ChaosProxy::Outcome ChaosProxy::on_line(std::string_view line, int line_no,
   } else if (op == "info") {
     out.response = render_info(id);
   } else {
-    out.response = error_line(
-        id, line_no, svc::to_json_token(svc::Status::kInvalidArgument),
-        "unknown chaosnet op \"" + op + "\"");
+    out.response =
+        svc::error_record(id, line_no, svc::Status::kInvalidArgument,
+                          "unknown chaosnet op \"" + op + "\"");
   }
   return out;
 }
@@ -610,25 +594,22 @@ std::string ChaosProxy::control(std::string_view line, int line_no) {
   (void)line;
   // on_line never classifies kControl; answering here anyway keeps the
   // backend honest if a future server path calls it.
-  return error_line("", line_no,
-                    svc::to_json_token(svc::Status::kInvalidArgument),
-                    "chaosnet has no control ops");
+  return svc::error_record("", line_no, svc::Status::kInvalidArgument,
+                           "chaosnet has no control ops");
 }
 
 std::string ChaosProxy::handle_fault(const svc::Fields& fields,
                                      const std::string& id) {
   const auto link_it = fields.find("link");
   if (link_it == fields.end() || link_it->second.empty()) {
-    return error_line(id, 0,
-                      svc::to_json_token(svc::Status::kInvalidArgument),
-                      "fault: missing \"link\"");
+    return svc::error_record(id, 0, svc::Status::kInvalidArgument,
+                             "fault: missing \"link\"");
   }
   const auto mode_it = fields.find("mode");
   FaultMode mode = FaultMode::kNone;
   if (mode_it == fields.end() || !parse_fault_mode(mode_it->second, &mode)) {
-    return error_line(id, 0,
-                      svc::to_json_token(svc::Status::kInvalidArgument),
-                      "fault: unknown \"mode\"");
+    return svc::error_record(id, 0, svc::Status::kInvalidArgument,
+                             "fault: unknown \"mode\"");
   }
   FaultSpec spec;
   spec.mode = mode;
@@ -645,15 +626,15 @@ std::string ChaosProxy::handle_fault(const svc::Fields& fields,
       (mode == FaultMode::kBandwidth && spec.bytes_per_sec == 0) ||
       (mode == FaultMode::kCorrupt &&
        (spec.corrupt_prob <= 0.0 || spec.corrupt_prob > 1.0))) {
-    return error_line(id, 0,
-                      svc::to_json_token(svc::Status::kInvalidArgument),
-                      "fault: mode \"" + std::string(fault_mode_name(mode)) +
-                          "\" needs a positive parameter");
+    return svc::error_record(id, 0, svc::Status::kInvalidArgument,
+                             "fault: mode \"" +
+                                 std::string(fault_mode_name(mode)) +
+                                 "\" needs a positive parameter");
   }
   if (!set_fault(link_it->second, spec)) {
-    return error_line(id, 0,
-                      svc::to_json_token(svc::Status::kInvalidArgument),
-                      "fault: unknown link \"" + link_it->second + "\"");
+    return svc::error_record(id, 0, svc::Status::kInvalidArgument,
+                             "fault: unknown link \"" + link_it->second +
+                                 "\"");
   }
   svc::JsonWriter w;
   if (!id.empty()) w.field("id", id);

@@ -3,7 +3,6 @@
 #include <poll.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <istream>
 #include <mutex>
@@ -44,68 +43,6 @@ struct ThreadOutcome {
 
 }  // namespace
 
-std::string strip_field(const std::string& line, std::string_view key) {
-  std::string needle;
-  needle.reserve(key.size() + 2);
-  needle += '"';
-  needle += key;
-  needle += '"';
-  std::size_t pos = 0;
-  while ((pos = line.find(needle, pos)) != std::string::npos) {
-    // A top-level key is preceded (modulo whitespace) by '{' or ','.
-    std::size_t before = pos;
-    while (before > 0 && std::isspace(static_cast<unsigned char>(
-                             line[before - 1]))) {
-      --before;
-    }
-    const bool key_position =
-        before > 0 && (line[before - 1] == '{' || line[before - 1] == ',');
-    std::size_t after = pos + needle.size();
-    while (after < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[after]))) {
-      ++after;
-    }
-    if (!key_position || after >= line.size() || line[after] != ':') {
-      pos += needle.size();  // matched inside a value; keep looking
-      continue;
-    }
-    ++after;  // past ':'
-    while (after < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[after]))) {
-      ++after;
-    }
-    if (after < line.size() && line[after] == '"') {
-      ++after;
-      while (after < line.size() && line[after] != '"') {
-        after += line[after] == '\\' ? 2 : 1;
-      }
-      if (after < line.size()) ++after;  // past the closing quote
-    } else {
-      while (after < line.size() && line[after] != ',' &&
-             line[after] != '}') {
-        ++after;
-      }
-    }
-    // Absorb exactly one separating comma (trailing preferred).
-    std::size_t cut_from = pos;
-    while (after < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[after]))) {
-      ++after;
-    }
-    if (after < line.size() && line[after] == ',') {
-      ++after;
-    } else if (line[before - 1] == ',') {
-      cut_from = before - 1;
-    }
-    return line.substr(0, cut_from) + line.substr(after);
-  }
-  return line;
-}
-
-std::string strip_id_field(const std::string& line) {
-  return strip_field(line, "id");
-}
-
 std::vector<std::string> load_corpus(std::istream& in) {
   std::vector<std::string> corpus;
   std::string line;
@@ -121,60 +58,29 @@ std::vector<std::string> load_corpus(std::istream& in) {
       throw std::invalid_argument("corpus line " + std::to_string(line_no) +
                                   ": " + e.what());
     }
-    corpus.push_back(strip_id_field(line));
+    corpus.push_back(svc::strip_field(line, "id"));
   }
   return corpus;
 }
 
-namespace {
-
-/// Splices `field_text` (a rendered "key":value) in as the first field of a
-/// flat JSON object known not to contain that key.
-std::string splice_front(const std::string& stripped,
-                         const std::string& field_text) {
-  // stripped is a validated flat object, so it starts with '{'.
-  std::size_t body = 1;
-  while (body < stripped.size() &&
-         std::isspace(static_cast<unsigned char>(stripped[body]))) {
-    ++body;
-  }
-  const bool empty_object = body < stripped.size() && stripped[body] == '}';
-  std::string out;
-  out.reserve(stripped.size() + field_text.size() + 2);
-  out += '{';
-  out += field_text;
-  if (!empty_object) out += ',';
-  out.append(stripped.data() + 1, stripped.size() - 1);
-  return out;
-}
-
-}  // namespace
-
-/// Stamps a unique id into an id-stripped corpus line.
-std::string with_id(const std::string& stripped, const std::string& id) {
-  return splice_front(stripped, "\"id\":\"" + id + "\"");
-}
-
 std::string with_model(const std::string& line, const std::string& model) {
-  return splice_front(strip_field(line, "model"),
-                      "\"model\":\"" + model + "\"");
+  return svc::with_field(svc::strip_field(line, "model"), "model", model);
 }
 
 namespace {
 
-/// Whether the handler accepts a "model" field on this request line: solve
-/// (including legacy bare {"task":...} lines), convergence, and checks of
-/// the default "sds" target do; emulate, other check targets, and control
-/// ops reject or ignore it.
+/// Whether the handler accepts a "model" field on this request line: solve,
+/// convergence, and checks of the default "sds" target do; emulate, other
+/// check targets, control ops and op-less lines reject or ignore it.
 bool line_takes_model(const std::string& line) {
-  std::map<std::string, std::string> fields;
+  svc::Fields fields;
   try {
     fields = svc::parse_flat_json(line);
   } catch (const std::exception&) {
     return false;
   }
   const auto op_it = fields.find("op");
-  const std::string op = op_it == fields.end() ? "solve" : op_it->second;
+  const std::string op = op_it == fields.end() ? "" : op_it->second;
   if (op == "solve" || op == "convergence") return true;
   if (op == "check") {
     const auto target = fields.find("target");
@@ -281,7 +187,7 @@ void drive_connection(const LoadgenConfig& config,
         do {
           const std::string id = id_prefix + std::to_string(seq);
           const CorpusEntry& entry = corpus[next_line];
-          batch += with_id(entry.line, id);
+          batch += svc::with_id(entry.line, id);
           batch += '\n';
           if (!entry.model.empty()) ++out->by_model[entry.model];
           next_line = (next_line + 1) % corpus.size();

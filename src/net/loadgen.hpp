@@ -22,7 +22,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "net/socket.hpp"
@@ -94,19 +93,6 @@ struct LoadgenReport {
 /// as flat JSON and stripping any "id" field.  Throws std::invalid_argument
 /// on a malformed line.
 std::vector<std::string> load_corpus(std::istream& in);
-
-/// Removes a top-level `key` field from a flat JSON line (no-op without
-/// one).  Exposed for tests, the router's id splice, and the router's
-/// deadline rewrite (timeout_ms).
-std::string strip_field(const std::string& line, std::string_view key);
-
-/// strip_field(line, "id") -- the original router id-splice entry point.
-std::string strip_id_field(const std::string& line);
-
-/// Inserts `id` (verbatim -- the caller escapes if needed) as the first
-/// field of an id-stripped flat JSON line.  The other half of the router's
-/// id splice; the load generator stamps its unique ids with it too.
-std::string with_id(const std::string& stripped, const std::string& id);
 
 /// Replaces any "model" field of a flat JSON line with `model` (wire name,
 /// inserted as the line's first field).  Exposed for tests and the model

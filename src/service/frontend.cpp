@@ -25,9 +25,6 @@ int run_jsonl_server(std::istream& in, std::ostream& out, std::ostream& err,
   // The stdin transport runs in the operator's own shell, so path-bearing
   // metrics/trace ops may write files; network transports keep this off.
   handler_config.allow_control_paths = true;
-  handler_config.warn = [&err](const std::string& note) {
-    err << "wfc_serve: " << note << "\n";
-  };
   RequestHandler handler(service, handler_config);
 
   // One submitted query whose result line has not been printed yet.  The

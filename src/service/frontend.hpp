@@ -23,9 +23,9 @@
 //   {"op":"trace","path":"f"} flushes, writes the span ring as Chrome
 //                             trace_event JSON to f (chrome://tracing)
 //
-// Legacy request shape: a line with "task" but no "op" is still accepted
-// and routed as op:"solve" (a one-line deprecation note goes to `err`, once
-// per run).
+// Every request names its "op": a line with "task" but no "op" answers
+// invalid_argument with "missing field \"op\"", as a solve without "task"
+// answers "missing field \"task\"".
 //
 // Result envelope (v2, the default since PR 5): "status" is ALWAYS the
 // lowercase transport taxonomy of service/status.hpp -- "ok", "cancelled",

@@ -91,18 +91,6 @@ QueryOptions parse_query_options(const Fields& fields, int default_max_level) {
   return options;
 }
 
-/// Error record shared by every transport: the offending 1-based line
-/// number plus the request "id" whenever it is known.
-RequestHandler::Rendered error_record(const std::string& id, int line_no,
-                                      const std::string& message) {
-  JsonWriter w;
-  if (!id.empty()) w.field("id", id);
-  w.field("status", to_json_token(Status::kInvalidArgument))
-      .field("line", line_no)
-      .field("error", message);
-  return {w.str(), true};
-}
-
 /// The {"op":"metrics"} response: one flat-JSON line rendered from the
 /// ServiceStats snapshot the Prometheus views also read, so the line and the
 /// exposition agree by construction.  "reconciles" is the invariant the
@@ -182,44 +170,30 @@ RequestHandler::ParsedLine RequestHandler::parse(std::string_view line,
                                                  int line_no) {
   ParsedLine parsed;
   parsed.line_no = line_no;
-  // CRLF framing: a trailing '\r' belongs to the wire, not the request.
-  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-  if (config_.max_line_bytes != 0 && line.size() > config_.max_line_bytes) {
-    // Never parse (or even keep) an oversized line: the id is unknowable
-    // without parsing, so the record carries only the line number.
-    parsed.action = Action::kRespond;
-    parsed.immediate = error_record(
-        "", line_no,
-        "request line exceeds " + std::to_string(config_.max_line_bytes) +
-            " bytes");
-    return parsed;
+  RequestLine read = read_request(line, line_no, config_.max_line_bytes);
+  switch (read.kind) {
+    case RequestLine::Kind::kSkip:
+      return parsed;
+    case RequestLine::Kind::kError:
+      parsed.action = Action::kRespond;
+      parsed.immediate = {std::move(read.error), true};
+      return parsed;
+    case RequestLine::Kind::kRequest:
+      break;
   }
-  const std::size_t first = line.find_first_not_of(" \t");
-  if (first == std::string_view::npos || line[first] == '#') {
-    parsed.action = Action::kSkip;
-    return parsed;
-  }
-  try {
-    parsed.fields = parse_flat_json(line);
-  } catch (const std::exception& e) {
-    parsed.action = Action::kRespond;
-    parsed.immediate = error_record("", line_no, e.what());
-    return parsed;
-  }
-  // v2 request shape: every line names its "op" and "task" is a parameter
-  // of op:"solve".  Legacy bare {"task":...} lines are still routed as
-  // solves, with a once-per-run deprecation note.
-  if (parsed.fields.count("op") == 0 && parsed.fields.count("task") != 0 &&
-      !warned_legacy_task_.exchange(true, std::memory_order_relaxed) &&
-      config_.warn) {
-    config_.warn(
-        "deprecated: bare {\"task\":...} request lines; "
-        "use {\"op\":\"solve\",\"task\":...}");
-  }
-  parsed.op = string_field(parsed.fields, "op", "solve");
-  if (parsed.op == "stats" || parsed.op == "metrics" ||
-      parsed.op == "trace" || parsed.op == "info" || parsed.op == "store") {
+  parsed.fields = std::move(read.fields);
+  parsed.op = std::move(read.op);
+  if (is_control_op(parsed.op)) {
     parsed.action = Action::kControl;
+    return parsed;
+  }
+  // Every request names its "op"; "task" is a parameter of op "solve".
+  if (parsed.fields.count("op") == 0) {
+    parsed.action = Action::kRespond;
+    parsed.immediate = {
+        error_record(string_field(parsed.fields, "id"), line_no,
+                     Status::kInvalidArgument, "missing field \"op\""),
+        true};
     return parsed;
   }
   if (parsed.op != "solve" && parsed.op != "convergence" &&
@@ -249,10 +223,7 @@ std::shared_ptr<task::Task> RequestHandler::intern_task(const Fields& fields) {
     // budget, and model DO affect the verdict, but they are part of the
     // service's memo key, not the task's -- the same task object under two
     // models is exactly what gives the memo's model_tag separation teeth.
-    if (k == "id" || k == "op" || k == "max_level" || k == "budget" ||
-        k == "timeout_ms" || k == "model") {
-      continue;
-    }
+    if (is_non_task_field(k) || k == "model") continue;
     key += k;
     key += '=';
     key += v;
@@ -345,8 +316,9 @@ std::optional<RequestHandler::Submitted> RequestHandler::submit(
     submitted.ticket = service_.submit(std::move(query));
     return submitted;
   } catch (const std::exception& e) {
-    *error = error_record(string_field(parsed.fields, "id"), parsed.line_no,
-                          e.what());
+    *error = {error_record(string_field(parsed.fields, "id"), parsed.line_no,
+                           Status::kInvalidArgument, e.what()),
+              true};
     return std::nullopt;
   }
 }
@@ -363,8 +335,9 @@ bool RequestHandler::submit_async(const ParsedLine& parsed,
                     });
     return true;
   } catch (const std::exception& e) {
-    *error = error_record(string_field(parsed.fields, "id"), parsed.line_no,
-                          e.what());
+    *error = {error_record(string_field(parsed.fields, "id"), parsed.line_no,
+                           Status::kInvalidArgument, e.what()),
+              true};
     return false;
   }
 }
@@ -507,7 +480,9 @@ RequestHandler::Rendered RequestHandler::control(const ParsedLine& parsed) {
         .field("dropped", sink != nullptr ? sink->dropped() : 0);
     return {w.str(), false};
   } catch (const std::exception& e) {
-    return error_record(id, parsed.line_no, e.what());
+    return {error_record(id, parsed.line_no, Status::kInvalidArgument,
+                         e.what()),
+            true};
   }
 }
 

@@ -9,10 +9,11 @@
 // A transport feeds input lines through four entry points:
 //
 //   parse(line, n)    classify one line: kSkip (blank / comment), kRespond
-//                     (malformed: the rendered error record is ready now),
-//                     kControl (stats / metrics / trace -- the transport
-//                     must flush ITS OWN in-flight queries first so the
-//                     counters reconcile, then call control()), or kSubmit;
+//                     (malformed or op-less: the rendered error record is
+//                     ready now), kControl (stats / metrics / trace / info /
+//                     store -- the transport must flush ITS OWN in-flight
+//                     queries first so the counters reconcile, then call
+//                     control()), or kSubmit;
 //   submit(parsed)    build + submit a kSubmit line's query, returning the
 //                     ticket plus the metadata render() needs -- or, when
 //                     the request is malformed, the error record instead;
@@ -25,27 +26,25 @@
 //   render(meta, r)   the result envelope for a completed query;
 //   control(parsed)   the response for a kControl line.
 //
-// Hardening shared by all transports: request lines longer than
-// HandlerConfig::max_line_bytes are rejected with an invalid_argument
-// record instead of being buffered without bound; a trailing '\r' (CRLF
-// framing) is stripped before parsing; error records echo the request "id"
-// whenever the line parsed far enough to know it, so pipelined clients can
-// match failures to requests.
+// Hardening shared by all transports -- and by the cluster router, which
+// reads lines through the same svc::read_request (jsonl.hpp): request lines
+// longer than HandlerConfig::max_line_bytes are rejected with an
+// invalid_argument record instead of being buffered without bound; a
+// trailing '\r' (CRLF framing) is stripped before parsing; error records
+// echo the request "id" whenever the line parsed far enough to know it, so
+// pipelined clients can match failures to requests.
 #pragma once
 
-#include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 
+#include "service/jsonl.hpp"
 #include "service/query_service.hpp"
 #include "wf/clock_cache.hpp"
 
 namespace wfc::svc {
-
-using Fields = std::map<std::string, std::string>;
 
 /// Builds a canonical task from parsed JSON fields ("task" + parameters;
 /// see frontend.hpp for the line protocol).  Throws std::invalid_argument
@@ -81,9 +80,6 @@ struct HandlerConfig {
   /// Operator-assigned identity echoed by {"op":"info"} (a shard id in a
   /// cluster, "" for a standalone server).
   std::string server_id;
-  /// Sink for one-shot deprecation notes (bare {"task":...} lines); null
-  /// discards them.
-  std::function<void(const std::string&)> warn;
 };
 
 class RequestHandler {
@@ -99,8 +95,9 @@ class RequestHandler {
 
   enum class Action {
     kSkip,     // blank / comment: no response line
-    kRespond,  // `immediate` is the response (parse error, unknown op)
-    kControl,  // stats / metrics / trace / info: flush pending, control()
+    kRespond,  // `immediate` is the response (parse error, missing or
+               // unknown op)
+    kControl,  // is_control_op (jsonl.hpp): flush pending, then control()
     kSubmit,   // a query: submit() / submit_async()
   };
 
@@ -108,7 +105,7 @@ class RequestHandler {
     Action action = Action::kSkip;
     Rendered immediate;  // kRespond only
     Fields fields;       // kControl / kSubmit
-    std::string op;      // resolved op ("solve" when defaulted)
+    std::string op;      // the "op" field
     int line_no = 0;
   };
 
@@ -183,7 +180,6 @@ class RequestHandler {
   /// {"op":"info"} uptime reference: when this handler (in practice, the
   /// transport) came up.
   std::chrono::steady_clock::time_point started_;
-  std::atomic<bool> warned_legacy_task_{false};
   wf::ClockCache<std::string, std::shared_ptr<task::Task>> interned_;
 };
 

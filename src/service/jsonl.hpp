@@ -6,19 +6,89 @@
 // nesting or trailing garbage raise std::invalid_argument) and emit
 // well-formed JSON through a tiny writer.  Numbers and booleans parse to
 // their literal text; callers convert as needed.
+//
+// It is also the protocol module every transport shares: the request
+// reader a shard's RequestHandler and the cluster Router both run on each
+// input line, the error record both answer a bad line with, and the field
+// and op vocabulary both classify requests by.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
 
+#include "service/status.hpp"
+
 namespace wfc::svc {
+
+using Fields = std::map<std::string, std::string>;
 
 /// Parses one flat JSON object, e.g. {"task":"consensus","procs":2}.
 /// Values are returned as raw text (strings unescaped, numbers/booleans
 /// verbatim).  Throws std::invalid_argument on anything else.
-std::map<std::string, std::string> parse_flat_json(std::string_view line);
+Fields parse_flat_json(std::string_view line);
+
+/// One input line as read_request saw it.
+struct RequestLine {
+  enum class Kind {
+    kSkip,     // blank or '#' comment: no response line
+    kError,    // `error` is the response (over the size cap, malformed JSON)
+    kRequest,  // `fields` holds the parsed object, `op` its "op" field
+  };
+  Kind kind = Kind::kSkip;
+  std::string_view text;  // the caller's line without its CRLF '\r'
+  std::string error;
+  Fields fields;
+  std::string op;  // "" when the line names no op
+};
+
+/// The request reader every transport runs first: strips a trailing '\r'
+/// (CRLF framing), answers a line longer than `max_line_bytes` (0 = no
+/// cap) without parsing -- or keeping -- it, skips blank and '#' lines, and
+/// parses the rest with parse_flat_json.  Never throws.
+RequestLine read_request(std::string_view line, int line_no,
+                         std::size_t max_line_bytes);
+
+/// The error record for a line that produced no query result: the request
+/// "id" when known, the status token, the offending 1-based line number,
+/// the message and, when nonzero, the client's backoff hint.
+std::string error_record(std::string_view id, int line_no, Status status,
+                         std::string_view message,
+                         std::uint64_t retry_after_ms = 0);
+
+/// Ops answered by a transport's control path -- after the connection's
+/// in-flight queries drain -- instead of being submitted as queries.
+bool is_control_op(std::string_view op);
+
+/// Request fields that never identify a task: they select how a query
+/// runs, not what it asks.  Task interning and the router's routing key
+/// both skip them (each with its own rule for "model").
+inline constexpr std::array<std::string_view, 5> kNonTaskFields = {
+    "id", "op", "max_level", "budget", "timeout_ms"};
+
+[[nodiscard]] inline bool is_non_task_field(std::string_view key) {
+  return std::find(kNonTaskFields.begin(), kNonTaskFields.end(), key) !=
+         kNonTaskFields.end();
+}
+
+/// Removes a top-level `key` field from a flat JSON line (no-op without
+/// one); the key's text inside a value is left alone.
+std::string strip_field(const std::string& line, std::string_view key);
+
+/// Inserts "key":"value" (value verbatim -- the caller escapes if needed)
+/// as the first field of a flat JSON line that has no `key` field.
+std::string with_field(const std::string& stripped, std::string_view key,
+                       std::string_view value);
+
+/// with_field(stripped, "id", id): the router's id splice and the load
+/// generator's id stamp.
+inline std::string with_id(const std::string& stripped,
+                           std::string_view id) {
+  return with_field(stripped, "id", id);
+}
 
 /// JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);

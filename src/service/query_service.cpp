@@ -550,37 +550,81 @@ void QueryService::memo_store(const Query& query,
                             [&] { return MemoVal{solve->task, result}; });
 }
 
-task::LevelRestrictor QueryService::model_restrictor(
-    std::shared_ptr<const model::Model> model, bool* any_build) {
-  if (model == nullptr || model->is_wait_free()) return nullptr;
-  // The restricted tower is itself a pure function of (input, model), so it
-  // rides the same cache/store machinery as full towers -- keyed by the
-  // MIXED fingerprint, which can never collide with the full tower's key
-  // (tag != 0) or another model's (distinct tags).
-  return [this, model = std::move(model), any_build](
-             const proto::SdsChain& chain,
-             int level) -> std::optional<task::LevelRestriction> {
-    const std::uint64_t base_fp = topo::complex_fingerprint(chain.level(0));
-    const std::uint64_t key = model::mix_fingerprint(base_fp, model->tag());
+task::SolveResult QueryService::run_solve(
+    const task::Task& task, const std::shared_ptr<const model::Model>& model,
+    int max_level, std::uint64_t budget, const std::atomic<bool>* cancel,
+    const std::optional<std::chrono::steady_clock::time_point>& deadline,
+    std::atomic<std::uint64_t>* progress, const obs::TraceContext& trace,
+    bool* any_build) {
+  // Every tower acquisition, full or restricted, is timed into
+  // wfc_chain_for_us and reports whether it built anything.
+  const auto timed = [this, any_build](const auto& fetch) {
+    const auto t0 = std::chrono::steady_clock::now();
     bool built = false;
-    auto restricted = cache_.derived_chain_for(
-        key, model->tag(), level,
-        [this, &model, &chain](std::shared_ptr<const proto::SdsChain> prior,
-                               int depth) {
-          std::uint64_t admitted = 0;
-          std::uint64_t rejected = 0;
-          auto tower = model::restricted_tower(chain, depth, *model, prior,
-                                               &admitted, &rejected);
-          if (metrics_.model_runs_admitted != nullptr) {
-            metrics_.model_runs_admitted->inc(admitted);
-            metrics_.model_runs_rejected->inc(rejected);
-          }
-          return tower;
-        },
-        &built);
+    auto chain = fetch(&built);
+    if (metrics_.chain_for_us != nullptr) {
+      metrics_.chain_for_us->observe(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
+    }
     *any_build = *any_build || built;
-    return task::LevelRestriction{restricted->arena(level), nullptr};
+    return chain;
   };
+  task::SolveOptions opts;
+  opts.node_budget = budget;
+  opts.cancel = cancel;
+  opts.progress = progress;
+  opts.deadline = deadline;
+  if (trace.enabled()) {
+    opts.checkpoint_every = observer_.config().search_checkpoint_nodes;
+    opts.on_checkpoint = [&trace](std::uint64_t nodes) {
+      trace.checkpoint(obs::SpanKind::kSearchNodes, nodes);
+    };
+  }
+  opts.chain_provider = [this, &timed, progress, &trace](
+                            const topo::ChromaticComplex& input, int depth) {
+    auto chain = timed([&](bool* built) {
+      return cache_.chain_for(input, depth, built, trace);
+    });
+    bump(progress);  // subdivision checkpoint
+    return chain;
+  };
+  if (model != nullptr && !model->is_wait_free()) {
+    if (metrics_.model_queries != nullptr) metrics_.model_queries->inc();
+    // The restricted tower is itself a pure function of (input, model), so
+    // it rides the same cache/store machinery as full towers -- keyed by
+    // the MIXED fingerprint, which can never collide with the full tower's
+    // key (tag != 0) or another model's (distinct tags).
+    opts.restrictor = [this, &timed, &model, &trace](
+                          const proto::SdsChain& chain,
+                          int level) -> std::optional<task::LevelRestriction> {
+      const std::uint64_t key = model::mix_fingerprint(
+          topo::complex_fingerprint(chain.level(0)), model->tag());
+      const SdsCache::Builder restrict =
+          [this, &model, &chain](std::shared_ptr<const proto::SdsChain> prior,
+                                 int depth) {
+            std::uint64_t admitted = 0;
+            std::uint64_t rejected = 0;
+            auto tower = model::restricted_tower(chain, depth, *model, prior,
+                                                 &admitted, &rejected);
+            if (metrics_.model_runs_admitted != nullptr) {
+              metrics_.model_runs_admitted->inc(admitted);
+              metrics_.model_runs_rejected->inc(rejected);
+            }
+            return tower;
+          };
+      auto restricted = timed([&](bool* built) {
+        return cache_.acquire(key, model->tag(), level, restrict, built,
+                              trace);
+      });
+      return task::LevelRestriction{restricted->arena(level), nullptr};
+    };
+  }
+  auto span = trace.span(obs::SpanKind::kSearch);
+  task::SolveResult result = task::solve(task, max_level, opts);
+  span.arg = result.nodes_explored;
+  return result;
 }
 
 void QueryService::cancel_all() {
@@ -603,43 +647,10 @@ QueryResult QueryService::execute(
     switch (query.kind()) {
       case Query::Kind::kSolve: {
         const SolveRequest& req = std::get<SolveRequest>(query.request);
-        task::SolveOptions opts;
-        opts.node_budget = effective_budget;
-        opts.cancel = cancel.get();
-        opts.progress = progress;
-        opts.deadline = deadline;
-        if (trace.enabled()) {
-          opts.checkpoint_every = observer_.config().search_checkpoint_nodes;
-          opts.on_checkpoint = [&trace](std::uint64_t nodes) {
-            trace.checkpoint(obs::SpanKind::kSearchNodes, nodes);
-          };
-        }
-        opts.chain_provider =
-            [this, &any_build, progress, &trace](
-                const topo::ChromaticComplex& input, int depth) {
-              const auto t0 = std::chrono::steady_clock::now();
-              bool built = false;
-              auto chain = cache_.chain_for(input, depth, &built, trace);
-              if (metrics_.chain_for_us != nullptr) {
-                metrics_.chain_for_us->observe(static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count()));
-              }
-              any_build = any_build || built;
-              bump(progress);  // subdivision checkpoint
-              return chain;
-            };
-        if (req.model != nullptr && !req.model->is_wait_free()) {
-          if (metrics_.model_queries != nullptr) metrics_.model_queries->inc();
-          opts.restrictor = model_restrictor(req.model, &any_build);
-        }
-        {
-          auto span = trace.span(obs::SpanKind::kSearch);
-          result.solve =
-              task::solve(*req.task, query.options.max_level, opts);
-          span.arg = result.solve.nodes_explored;
-        }
+        result.solve = run_solve(*req.task, req.model,
+                                 query.options.max_level, effective_budget,
+                                 cancel.get(), deadline, progress, trace,
+                                 &any_build);
         ran_to_verdict = true;
         break;
       }
@@ -650,26 +661,10 @@ QueryResult QueryService::execute(
           // The §5 convergence compiler assumes the full run set; under a
           // sub-IIS model the agreement task goes through the restricted
           // Prop 3.1 solve instead (same verdict surface).
-          if (metrics_.model_queries != nullptr) metrics_.model_queries->inc();
-          task::SolveOptions opts;
-          opts.node_budget = effective_budget;
-          opts.cancel = cancel.get();
-          opts.progress = progress;
-          opts.deadline = deadline;
-          opts.chain_provider =
-              [this, &any_build, progress, &trace](
-                  const topo::ChromaticComplex& input, int depth) {
-                bool built = false;
-                auto chain = cache_.chain_for(input, depth, &built, trace);
-                any_build = any_build || built;
-                bump(progress);
-                return chain;
-              };
-          opts.restrictor = model_restrictor(req.model, &any_build);
-          auto span = trace.span(obs::SpanKind::kSearch);
-          result.solve =
-              task::solve(*req.agreement, query.options.max_level, opts);
-          span.arg = result.solve.nodes_explored;
+          result.solve = run_solve(*req.agreement, req.model,
+                                   query.options.max_level, effective_budget,
+                                   cancel.get(), deadline, progress, trace,
+                                   &any_build);
           ran_to_verdict = true;
           break;
         }

@@ -445,12 +445,21 @@ class QueryService {
   std::uint32_t retry_hint();
   void acquire_inflight_slot();
   void release_inflight_slot();
-  /// Restrictor for a non-wait-free model: serves each level's admissible
-  /// subcomplex from the derived-tower cache (key = mixed fingerprint), so
-  /// repeated model queries over the same input prune once.  Null models
-  /// and wait_free return an empty function (search untouched).
-  task::LevelRestrictor model_restrictor(
-      std::shared_ptr<const model::Model> model, bool* any_build);
+  /// The Prop 3.1 search behind op "solve" and model-restricted
+  /// "convergence".  Builds the one task::SolveOptions both run: budget,
+  /// cancel token, deadline, progress, search checkpoints, the cached chain
+  /// provider and -- for a non-wait-free model -- a restrictor serving each
+  /// level's admissible subcomplex from the derived-tower cache, so
+  /// repeated model queries over the same input prune once.  Both tower
+  /// acquisitions are timed into wfc_chain_for_us and set *any_build when
+  /// they built; the search runs under a kSearch span.
+  task::SolveResult run_solve(
+      const task::Task& task,
+      const std::shared_ptr<const model::Model>& model, int max_level,
+      std::uint64_t budget, const std::atomic<bool>* cancel,
+      const std::optional<std::chrono::steady_clock::time_point>& deadline,
+      std::atomic<std::uint64_t>* progress, const obs::TraceContext& trace,
+      bool* any_build);
   /// The memoized definitive result for this query, if any.
   [[nodiscard]] std::optional<task::SolveResult> memo_lookup(
       const Query& query);

@@ -44,35 +44,39 @@ std::size_t SdsCache::chain_weight(const proto::SdsChain& chain) {
   return w;
 }
 
-std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
-    const topo::ChromaticComplex& input, int depth) {
-  bool built = false;
-  return chain_for(input, depth, &built);
-}
-
-std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
-    const topo::ChromaticComplex& input, int depth, bool* built) {
-  return chain_for(input, depth, built, obs::TraceContext());
+SdsCache::Cache::Handle SdsCache::pin_slot(std::uint64_t key) {
+  Cache::Handle handle =
+      cache_.get_or_insert(key, [] { return std::make_shared<BuildSlot>(); });
+  std::lock_guard<std::mutex> reg_lock(registry_mu_);
+  registry_[key] = *handle;
+  return handle;
 }
 
 std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
     const topo::ChromaticComplex& input, int depth, bool* built,
     const obs::TraceContext& trace) {
-  WFC_REQUIRE(depth >= 0, "SdsCache::chain_for: negative depth");
-  const std::uint64_t key = topo::complex_fingerprint(input);
+  return acquire(
+      topo::complex_fingerprint(input), 0, depth,
+      [&input](std::shared_ptr<const proto::SdsChain> prior, int target)
+          -> std::shared_ptr<const proto::SdsChain> {
+        // Extending shares every already-built level (SdsChain's
+        // prefix-sharing constructor).
+        if (prior == nullptr) {
+          return std::make_shared<proto::SdsChain>(input, target);
+        }
+        return std::make_shared<proto::SdsChain>(*prior, target);
+      },
+      built, trace);
+}
 
-  // Pin (via the handle) the entry for this input, creating it if absent.
-  // While the handle lives, eviction is structurally unable to drop the
-  // entry, so the build below can't orphan a tower mid-construction.
-  Cache::Handle handle =
-      cache_.get_or_insert(key, [] { return std::make_shared<BuildSlot>(); });
+std::shared_ptr<const proto::SdsChain> SdsCache::acquire(
+    std::uint64_t key, std::uint64_t model_tag, int depth,
+    const Builder& build, bool* built, const obs::TraceContext& trace) {
+  WFC_REQUIRE(depth >= 0, "SdsCache: negative depth");
+  Cache::Handle handle = pin_slot(key);
   const std::shared_ptr<BuildSlot> slot = *handle;
-  {
-    std::lock_guard<std::mutex> reg_lock(registry_mu_);
-    registry_[key] = slot;
-  }
 
-  // Build or extend under the per-entry lock: only same-input queries wait
+  // Build or extend under the per-entry lock: only same-key queries wait
   // here, and exactly one of them does the subdivision work.  On exception
   // (injected or genuine bad_alloc) the handle unpins on unwind and the
   // entry stays at its prior depth; the cache remains consistent.
@@ -87,27 +91,29 @@ std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
                                  : std::chrono::steady_clock::time_point();
     // First touch in this process: adopt the persisted tower before even
     // considering a build.  An mmap'ed chain is NOT a build -- this is what
-    // keeps chain_builds == 0 across a warm restart.
+    // keeps chain_builds == 0 across a warm restart.  The tag check inside
+    // load() keeps a colliding or mislabeled file from ever serving another
+    // model's tower.
     if (slot->chain == nullptr && store_) {
-      if (auto loaded = store_->load(key)) {
+      if (auto loaded = store_->load(key, model_tag)) {
         slot->chain = std::move(loaded);
         from_store = true;
       }
     }
     was_empty = slot->chain == nullptr;
-    if (was_empty) {
+    slot->model_tag = model_tag;
+    if (was_empty || slot->chain->depth() < depth) {
       if (options_.build_fault_hook) options_.build_fault_hook();
-      slot->chain = std::make_shared<proto::SdsChain>(input, depth);
+      slot->chain = build(slot->chain, depth);
+      WFC_CHECK(slot->chain != nullptr && slot->chain->depth() >= depth,
+                "SdsCache: builder returned a short chain");
       did_build = true;
-    } else if (slot->chain->depth() < depth) {
-      if (options_.build_fault_hook) options_.build_fault_hook();
-      slot->chain = std::make_shared<proto::SdsChain>(*slot->chain, depth);
-      did_build = true;
+      if (store_) store_->publish(key, *slot->chain, model_tag);
     }
-    if (store_ && did_build) store_->publish(key, *slot->chain);
     chain = slot->chain;
     if (trace.enabled()) {
-      // Span covers exactly the subdivision work (the build lock section);
+      // Span covers exactly the work under the build lock (store load,
+      // subdivision, publish; arg = resulting chain weight in vertices);
       // lock-wait and index bookkeeping are charged to the caller's view.
       if (did_build) {
         trace.complete(obs::SpanKind::kChainBuild, build_start,
@@ -117,7 +123,7 @@ std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
       }
     }
   }
-  *built = did_build;
+  if (built != nullptr) *built = did_build;
 
   if (!did_build) {
     hits_.inc();
@@ -136,71 +142,12 @@ std::shared_ptr<const proto::SdsChain> SdsCache::chain_for(
   return chain;
 }
 
-std::shared_ptr<const proto::SdsChain> SdsCache::derived_chain_for(
-    std::uint64_t key, std::uint64_t model_tag, int depth,
-    const DerivedBuilder& build, bool* built) {
-  WFC_REQUIRE(depth >= 0, "SdsCache::derived_chain_for: negative depth");
-  Cache::Handle handle =
-      cache_.get_or_insert(key, [] { return std::make_shared<BuildSlot>(); });
-  const std::shared_ptr<BuildSlot> slot = *handle;
-  {
-    std::lock_guard<std::mutex> reg_lock(registry_mu_);
-    registry_[key] = slot;
-  }
-
-  bool was_empty = false;
-  bool did_build = false;
-  bool from_store = false;
-  std::shared_ptr<const proto::SdsChain> chain;
-  {
-    std::lock_guard<std::mutex> build_lock(slot->build_mu);
-    if (slot->chain == nullptr && store_) {
-      // The tag check inside load() keeps a colliding or mislabeled file
-      // from ever serving another model's tower.
-      if (auto loaded = store_->load(key, model_tag)) {
-        slot->chain = std::move(loaded);
-        from_store = true;
-      }
-    }
-    was_empty = slot->chain == nullptr;
-    slot->model_tag = model_tag;
-    if (was_empty || slot->chain->depth() < depth) {
-      if (options_.build_fault_hook) options_.build_fault_hook();
-      slot->chain = build(was_empty ? nullptr : slot->chain, depth);
-      WFC_CHECK(slot->chain != nullptr && slot->chain->depth() >= depth,
-                "derived_chain_for: builder returned a short chain");
-      did_build = true;
-    }
-    if (store_ && did_build) store_->publish(key, *slot->chain, model_tag);
-    chain = slot->chain;
-  }
-  *built = did_build;
-
-  if (!did_build) {
-    hits_.inc();
-  } else if (was_empty) {
-    misses_.inc();
-  } else {
-    extensions_.inc();
-  }
-  if (from_store) store_hits_.inc();
-  cache_.update_weight(handle, chain_weight(*chain));
-  handle.release();
-  cache_.maybe_evict();
-  return chain;
-}
-
 std::size_t SdsCache::warm() {
   if (!store_) return 0;
   std::size_t admitted = 0;
   for (const store::ChainStore::Entry& e : store_->list()) {
-    Cache::Handle handle = cache_.get_or_insert(
-        e.fingerprint, [] { return std::make_shared<BuildSlot>(); });
+    Cache::Handle handle = pin_slot(e.fingerprint);
     const std::shared_ptr<BuildSlot> slot = *handle;
-    {
-      std::lock_guard<std::mutex> reg_lock(registry_mu_);
-      registry_[e.fingerprint] = slot;
-    }
     bool loaded = false;
     {
       std::lock_guard<std::mutex> build_lock(slot->build_mu);

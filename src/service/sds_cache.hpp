@@ -78,45 +78,38 @@ class SdsCache {
   SdsCache();  // default Options
   explicit SdsCache(Options options);
 
-  /// Returns a chain for `input` with depth() >= depth.  Hits are lock-free
-  /// on the index and never copy; misses build (or extend) under the entry
-  /// lock only.
+  /// Returns a chain for `input` with depth() >= depth: acquire() under
+  /// the input's fingerprint, tag 0 and plain subdivision.  Hits are
+  /// lock-free on the index and never copy; misses build (or extend) under
+  /// the entry lock only.  `built` (when non-null) reports whether any
+  /// subdivision work was done (false = pure cache hit).  An enabled
+  /// `trace` records a chain_build span covering exactly the work under the
+  /// entry's build lock (arg = resulting chain weight in vertices), or a
+  /// cache_hit instant when the tower was already deep enough.
   std::shared_ptr<const proto::SdsChain> chain_for(
-      const topo::ChromaticComplex& input, int depth);
+      const topo::ChromaticComplex& input, int depth, bool* built = nullptr,
+      const obs::TraceContext& trace = {});
 
-  /// Like chain_for, but also reports whether any subdivision work was done
-  /// (false = pure cache hit).
-  std::shared_ptr<const proto::SdsChain> chain_for(
-      const topo::ChromaticComplex& input, int depth, bool* built);
+  /// Builds a tower from `prior` (the cached chain so far, possibly null)
+  /// to depth `depth`.  Must be a pure function of (key, depth) -- the
+  /// cache shares and persists the result.
+  using Builder = std::function<std::shared_ptr<const proto::SdsChain>(
+      std::shared_ptr<const proto::SdsChain> prior, int depth)>;
 
-  /// Traced variant: records a chain_build span covering exactly the
-  /// subdivision work under the entry's build lock (arg = resulting chain
-  /// weight in vertices), or a cache_hit instant when the tower was already
-  /// deep enough.  A disabled context makes this identical to the overload
-  /// above.
-  std::shared_ptr<const proto::SdsChain> chain_for(
-      const topo::ChromaticComplex& input, int depth, bool* built,
-      const obs::TraceContext& trace);
-
-  /// Builds a non-standard (derived) tower from `prior` (the cached chain
-  /// so far, possibly null) to depth `depth`.  Must be a pure function of
-  /// (key, depth) -- the cache shares and persists the result.
-  using DerivedBuilder =
-      std::function<std::shared_ptr<const proto::SdsChain>(
-          std::shared_ptr<const proto::SdsChain> prior, int depth)>;
-
-  /// chain_for for model-restricted towers (wfc::model): the entry is
-  /// keyed by `key` -- the MIXED fingerprint, model::mix_fingerprint(
-  /// complex_fingerprint(input), model_tag) -- so towers restricted under
+  /// The one tower acquisition, for full and model-restricted towers
+  /// (wfc::model) alike: pin the slot for `key`, adopt a stored tower under
+  /// `model_tag`, build or extend through `build` under the entry's build
+  /// lock, publish, count, trace, reweigh and evict.  A restricted tower is
+  /// keyed by the MIXED fingerprint, model::mix_fingerprint(
+  /// complex_fingerprint(input), model_tag), so towers restricted under
   /// distinct models never collide with each other or with the full tower
   /// (tag 0 leaves the fingerprint unchanged, i.e. IS the full tower's
   /// key).  Store loads verify the recorded model_tag and publishes record
-  /// it; builds and extensions go through `build` instead of plain
-  /// subdivision.  Hit/miss/extension/store counters are shared with the
-  /// full-tower path.
-  std::shared_ptr<const proto::SdsChain> derived_chain_for(
+  /// it.  `built` and `trace` are as for chain_for.
+  std::shared_ptr<const proto::SdsChain> acquire(
       std::uint64_t key, std::uint64_t model_tag, int depth,
-      const DerivedBuilder& build, bool* built);
+      const Builder& build, bool* built = nullptr,
+      const obs::TraceContext& trace = {});
 
   /// Evicts cold (unpinned) entries until at least `frac` of the current
   /// resident vertex weight is released or only pinned/hot entries remain.
@@ -165,6 +158,12 @@ class SdsCache {
   using Cache = wf::ClockCache<std::uint64_t, std::shared_ptr<BuildSlot>>;
 
   static std::size_t chain_weight(const proto::SdsChain& chain);
+
+  /// Pins (via the handle) the entry for `key`, creating it if absent, and
+  /// records it for publish_all.  While the handle lives, eviction is
+  /// structurally unable to drop the entry, so a build can't orphan a
+  /// tower mid-construction.
+  Cache::Handle pin_slot(std::uint64_t key);
 
   Options options_;
   Cache cache_;

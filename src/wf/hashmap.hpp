@@ -211,10 +211,47 @@ class HashMap {
   // A pending insert published for helping.  `result` is a tagged Node*
   // (bit 0 set = the key already existed) so outcome and provenance
   // commit in one CAS; tomb() as result encodes "table full".
+  //
+  // Every copy a helper makes is pushed onto `copies` BEFORE it is
+  // installed, so a helper that meets a node in the table can tell a copy
+  // made for this very operation (commit it as installed) from a node that
+  // existed before it (commit it as found).  A helper unlinks its own
+  // installed copy only after the result is committed, and only when that
+  // copy is not the committed node.  Copies that never reach the table are
+  // epoch-retired rather than freed, so their addresses cannot be reused
+  // -- and mistaken for a copy -- while the op is uncommitted.
+  struct Copy {
+    const Node* node;
+    const Copy* next;
+  };
   struct AnnounceOp {
     std::size_t home;
     const Node* proto;  // owned by the announcer; helpers install copies
     std::atomic<std::uintptr_t> result{0};
+    std::atomic<const Copy*> copies{nullptr};
+
+    ~AnnounceOp() {
+      for (const Copy* c = copies.load(std::memory_order_relaxed);
+           c != nullptr;) {
+        const Copy* next = c->next;
+        delete c;
+        c = next;
+      }
+    }
+    void add_copy(const Node* n) {
+      auto* c = new Copy{n, copies.load(std::memory_order_relaxed)};
+      while (!copies.compare_exchange_weak(c->next, c,
+                                           std::memory_order_release,
+                                           std::memory_order_relaxed)) {
+      }
+    }
+    [[nodiscard]] bool made(const Node* n) const {
+      for (const Copy* c = copies.load(std::memory_order_acquire);
+           c != nullptr; c = c->next) {
+        if (c->node == n) return true;
+      }
+      return false;
+    }
   };
   static constexpr std::size_t kAnnounceSlots = 64;
   static constexpr std::uintptr_t kFoundTag = 1;
@@ -255,22 +292,28 @@ class HashMap {
     return {nullptr, 0, ProbeOutcome::kFull};
   }
 
-  // After installing `cand` at `idx`, adopt any same-key node earlier in
-  // the probe window ("smallest probe index wins"): unlink our copy and
-  // return the winner.  Only later copies self-unlink, so this cannot
-  // erase the surviving node.
-  Node* resolve_dup(std::size_t home, std::size_t idx, Node* cand) {
+  // The first node for `key` before slot `idx` in the probe window from
+  // `home`, or null.
+  Node* earlier_dup(std::size_t home, std::size_t idx, const K& key) const {
     for (std::size_t step = 0; step <= mask_; ++step) {
       const std::size_t i = (home + step) & mask_;
       if (i == idx) break;
       Node* n = slots_[i].load(std::memory_order_acquire);
       if (n == nullptr || n == tomb()) continue;
-      if (Eq{}(n->key, cand->key)) {
-        options_.unlink(idx, cand);
-        return n;
-      }
+      if (Eq{}(n->key, key)) return n;
     }
-    return cand;
+    return nullptr;
+  }
+
+  // After installing `cand` at `idx`, adopt any same-key node earlier in
+  // the probe window ("smallest probe index wins"): unlink our copy and
+  // return the winner.  Only later copies self-unlink, so this cannot
+  // erase the surviving node.
+  Node* resolve_dup(std::size_t home, std::size_t idx, Node* cand) {
+    Node* earlier = earlier_dup(home, idx, cand->key);
+    if (earlier == nullptr) return cand;
+    options_.unlink(idx, cand);
+    return earlier;
   }
 
   // Runs `op` to completion (idempotent; any thread may call).  Returns
@@ -283,47 +326,45 @@ class HashMap {
       if (r != 0) return decode(r, found_existing);
 
       Node* fresh = new Node(*op->proto);
+      op->add_copy(fresh);
       ProbeResult pr = probe_install(op->home, fresh->key, fresh, nullptr);
       Node* outcome = nullptr;
-      bool found = false;
-      bool installed = false;
       switch (pr.outcome) {
         case ProbeOutcome::kFound:
-          delete fresh;
           outcome = pr.node;
-          found = true;
           break;
-        case ProbeOutcome::kInstalled: {
-          Node* winner = resolve_dup(op->home, pr.idx, fresh);
-          if (winner == fresh) {
-            outcome = fresh;
-            installed = true;
-          } else {
-            outcome = winner;  // our copy already unlinked by resolve_dup
-            found = true;
-          }
+        case ProbeOutcome::kInstalled:
+          // Adopt an earlier same-key node, but unlink our copy only once
+          // the result is committed: another helper may commit it first.
+          outcome = earlier_dup(op->home, pr.idx, fresh->key);
+          if (outcome == nullptr) outcome = fresh;
           break;
-        }
         case ProbeOutcome::kFull:
-          delete fresh;
           outcome = tomb();
           break;
         case ProbeOutcome::kBudget:
           continue;  // unreachable (no budget), but keeps -Werror happy
       }
+      const bool installed = pr.outcome == ProbeOutcome::kInstalled;
+      if (!installed) Epoch::global().retire(fresh);
+      const bool found = outcome != tomb() && !op->made(outcome);
 
-      std::uintptr_t tagged =
+      std::uintptr_t committed =
           reinterpret_cast<std::uintptr_t>(outcome) | (found ? kFoundTag : 0);
       std::uintptr_t expect = 0;
-      if (op->result.compare_exchange_strong(expect, tagged,
+      if (op->result.compare_exchange_strong(expect, committed,
                                              std::memory_order_acq_rel)) {
         if (helping_other) telemetry().help_ops.inc();
-        if (found_existing != nullptr) *found_existing = found;
-        return outcome == tomb() ? nullptr : outcome;
+      } else {
+        committed = expect;  // someone else committed first
       }
-      // Someone else committed first; retract our redundant copy.
-      if (installed) options_.unlink(pr.idx, outcome);
-      return decode(expect, found_existing);
+      // Retract our copy unless it is the committed node -- ours, or one
+      // another helper met in the table.
+      if (installed &&
+          (committed & ~kFoundTag) != reinterpret_cast<std::uintptr_t>(fresh)) {
+        options_.unlink(pr.idx, fresh);
+      }
+      return decode(committed, found_existing);
     }
   }
 
@@ -335,7 +376,7 @@ class HashMap {
 
   Node* announce_insert(std::size_t home, Node* proto, bool* inserted) {
     telemetry().announces.inc();
-    auto* op = new AnnounceOp{home, proto, {}};
+    auto* op = new AnnounceOp{home, proto, {}, {}};
     std::size_t a = thread_slot() % kAnnounceSlots;
     while (true) {
       AnnounceOp* expect = nullptr;

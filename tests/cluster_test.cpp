@@ -21,7 +21,9 @@
 
 #include "cluster/ring.hpp"
 #include "cluster/router.hpp"
+#include "net/backend.hpp"
 #include "net/client.hpp"
+#include "net/loadgen.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "service/jsonl.hpp"
@@ -479,6 +481,34 @@ TEST(ClusterRouter, HedgesToSuccessorWhenDeadlineAtRisk) {
   EXPECT_GE(stats.hedge_wins, 1u);
 }
 
+TEST(ClusterRouter, HedgedCrlfLineCarriesItsRemainingDeadline) {
+  // The hedge rewrites timeout_ms to the remaining budget; on a CRLF line
+  // that rewrite must land inside the object, not after a stray '\r'.
+  BlackHole hole;
+  RouterConfig config = fast_config();
+  config.hedge_fraction = 0.1;
+  config.hedge_min = 50ms;
+  config.shards.push_back(ShardSpec{"bh", {"127.0.0.1", hole.port}});
+  TestCluster cluster(2, std::move(config));
+  cluster.wait_shard_up("bh");
+
+  Ring replica(64);
+  replica.add("s1");
+  replica.add("s2");
+  replica.add("bh");
+  const int values = consensus_values_owned_by(replica, "bh");
+
+  net::Client client = cluster.connect();
+  const Fields fields = parse(client.roundtrip(
+      R"({"id":"h2","op":"solve","task":"consensus","procs":2,"values":)" +
+      std::to_string(values) + R"(,"timeout_ms":3000})" + "\r"));
+  EXPECT_EQ(field(fields, "id"), "h2");
+  EXPECT_EQ(field(fields, "status"), "ok");  // the hedge answered in time
+  const Router::Stats stats = cluster.router->stats();
+  EXPECT_GE(stats.hedges, 1u);
+  EXPECT_GE(stats.hedge_wins, 1u);
+}
+
 TEST(ClusterRouter, SilentShardWithoutDeadlineTimesOutEventually) {
   BlackHole hole;
   RouterConfig config = fast_config();
@@ -615,6 +645,147 @@ TEST(ClusterRouter, ConnDeathRedispatchesInflightToSurvivors) {
   // producing a second copy of any id.
   EXPECT_THROW((void)client.recv_line(), net::TimeoutError);
   EXPECT_GE(cluster.router->stats().redispatches, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The shared request reader: routing keys and error records.
+// ---------------------------------------------------------------------------
+
+/// Every request line of examples/queries.jsonl and
+/// examples/cluster_smoke.jsonl with the routing key the router computed
+/// for it before the router and the shards shared one request reader:
+/// with any model removed, under "wait_free" and under "t_resilient(1)"
+/// (net::with_model splices the model in).
+struct GoldenKey {
+  const char* line;
+  std::uint64_t no_model;
+  std::uint64_t wait_free;
+  std::uint64_t t_resilient;
+};
+
+constexpr GoldenKey kGoldenKeys[] = {
+    {R"({"id":"s1","op":"solve","task":"consensus","procs":2,"values":2})",
+     0x49a3e6325ef332e2ull, 0x49a3e6325ef332e2ull, 0xa928f3ca85da6bcfull},
+    {R"({"id":"s2","op":"solve","task":"consensus","procs":3,"values":2,"max_level":1})",
+     0x1a83cf1137e7aa2bull, 0x1a83cf1137e7aa2bull, 0xed50333d2c5bff16ull},
+    {R"({"id":"s3","op":"solve","task":"set-consensus","procs":3,"k":2,"max_level":1})",
+     0x5afb01bec92fee15ull, 0x5afb01bec92fee15ull, 0x1e4a7361cf879704ull},
+    {R"({"id":"s4","op":"solve","task":"renaming","procs":2,"names":2})",
+     0x469dff6df4389926ull, 0x469dff6df4389926ull, 0x22a3dc2141d2709bull},
+    {R"({"id":"s5","op":"solve","task":"renaming","procs":2,"names":3})",
+     0xe65f8003f37b2003ull, 0xe65f8003f37b2003ull, 0x19298f452ed2217eull},
+    {R"({"id":"s6","op":"solve","task":"approx","procs":2,"grid":3})",
+     0x4ed43f23b2510026ull, 0x4ed43f23b2510026ull, 0x9c3f292d243b4759ull},
+    {R"({"id":"s7","op":"solve","task":"approx","procs":2,"grid":5,"budget":200000})",
+     0x46ee74e44c7a0584ull, 0x46ee74e44c7a0584ull, 0xf72b55dc93f3347bull},
+    {R"({"id":"s8","op":"solve","task":"simplex-agreement","procs":2,"depth":1})",
+     0xcfa9b8726c6ef9e8ull, 0xcfa9b8726c6ef9e8ull, 0x7c0d48a44ec036e7ull},
+    {R"({"id":"s9","op":"solve","task":"identity","procs":3})",
+     0x13fef90f9e5eb4aaull, 0x13fef90f9e5eb4aaull, 0x3d53de32338f8f6bull},
+    {R"({"id":"r1","op":"solve","task":"consensus","procs":2,"values":2})",
+     0x49a3e6325ef332e2ull, 0x49a3e6325ef332e2ull, 0xa928f3ca85da6bcfull},
+    {R"({"id":"r2","op":"solve","task":"approx","procs":2,"grid":3})",
+     0x4ed43f23b2510026ull, 0x4ed43f23b2510026ull, 0x9c3f292d243b4759ull},
+    {R"({"id":"c1","op":"convergence","procs":2,"depth":1,"max_level":4})",
+     0x87754011fed26028ull, 0x87754011fed26028ull, 0x00bc68291692ddf5ull},
+    {R"({"id":"e1","op":"emulate","procs":2,"shots":2})",
+     0x713151b6306aed4full, 0x713151b6306aed4full, 0xb43546ee9e6abd36ull},
+    {R"({"id":"e2","op":"emulate","procs":3,"shots":1})",
+     0xdedfca74624f0ee5ull, 0xdedfca74624f0ee5ull, 0x3cfa2f16d86ef18cull},
+    {R"({"id":"k1","op":"check","target":"sds","procs":3,"rounds":2,"crashes":1})",
+     0x7f51dd6c858f87c7ull, 0x7f51dd6c858f87c7ull, 0xa53ad0f3232de5eaull},
+    {R"({"id":"k2","op":"check","target":"emulation","procs":2,"rounds":2,"crashes":1})",
+     0xd96ba10d976c62b6ull, 0xd96ba10d976c62b6ull, 0xe0fc6817b5f23307ull},
+    {R"({"id":"k3","op":"check","target":"linearizability","procs":2,"rounds":2})",
+     0xe9846d7441f870f4ull, 0xe9846d7441f870f4ull, 0xa3c55976fe2dd1d9ull},
+    {R"({"id":"x1","op":"solve","task":"consensus","procs":0,"values":2})",
+     0x652eb021d91e7c30ull, 0x652eb021d91e7c30ull, 0xdfa4166c3434f0fdull},
+    {R"({"id":"x2","op":"solve","task":"no-such-task","procs":2})",
+     0x357aef79c4039756ull, 0x357aef79c4039756ull, 0xb573451e69216093ull},
+    {R"({"id":"x3","op":"frobnicate"})",
+     0x14650fb0739d0383ull, 0x14650fb0739d0383ull, 0xeb32867864d032d6ull},
+    {R"({"op":"solve","task":"consensus","procs":2,"values":2,"max_level":2})",
+     0x49a3e6325ef332e2ull, 0x49a3e6325ef332e2ull, 0xa928f3ca85da6bcfull},
+    {R"({"op":"solve","task":"consensus","procs":2,"values":3,"max_level":2})",
+     0x49a05e325ef015f3ull, 0x49a05e325ef015f3ull, 0xa92c6bca85dd6d8eull},
+    {R"({"op":"solve","task":"consensus","procs":2,"values":4,"max_level":2})",
+     0x498f5e325ee1a2c0ull, 0x498f5e325ee1a2c0ull, 0xa92f73ca85dfb0fdull},
+    {R"({"op":"solve","task":"consensus","procs":2,"values":5,"max_level":2})",
+     0x498c5e325edf6ce9ull, 0x498c5e325edf6ce9ull, 0xa932f3ca85e2c054ull},
+    {R"({"op":"solve","task":"renaming","procs":2,"names":3,"max_level":2})",
+     0xe65f8003f37b2003ull, 0xe65f8003f37b2003ull, 0x19298f452ed2217eull},
+    {R"({"op":"solve","task":"renaming","procs":2,"names":4,"max_level":2})",
+     0x2494a550659365b0ull, 0x2494a550659365b0ull, 0xa42a1b8a6974733dull},
+    {R"({"op":"solve","task":"renaming","procs":2,"names":6,"max_level":2})",
+     0xe6f9eb48649ecf5aull, 0xe6f9eb48649ecf5aull, 0x22e28a9ef181b4dfull},
+    {R"({"op":"solve","task":"renaming","procs":2,"names":7,"max_level":2})",
+     0x07bca7b848e92767ull, 0x07bca7b848e92767ull, 0x22764077f41c7f32ull},
+    {R"({"op":"solve","task":"set-consensus","procs":2,"k":2,"max_level":2})",
+     0x99ad9816eba91f06ull, 0x99ad9816eba91f06ull, 0xe89f496114f2d6b3ull},
+    {R"({"op":"solve","task":"approx","procs":2,"grid":6,"max_level":2})",
+     0xa536f08fd9de4c1bull, 0xa536f08fd9de4c1bull, 0xc189e71736b7dfc2ull},
+    {R"({"op":"solve","task":"approx","procs":2,"grid":7,"max_level":2})",
+     0x79c6d7ea18707eeaull, 0x79c6d7ea18707eeaull, 0xc5197a0f3e4c2d5dull},
+};
+
+TEST(ClusterRouter, RoutingKeysMatchTheGoldenCorpusKeys) {
+  const auto key = [](const std::string& line) {
+    return routing_key(svc::parse_flat_json(line));
+  };
+  for (const GoldenKey& g : kGoldenKeys) {
+    const std::string line = g.line;
+    EXPECT_EQ(key(svc::strip_field(line, "model")), g.no_model) << line;
+    EXPECT_EQ(key(net::with_model(line, "wait_free")), g.wait_free) << line;
+    EXPECT_EQ(key(net::with_model(line, "t_resilient(1)")), g.t_resilient)
+        << line;
+  }
+}
+
+TEST(ClusterRouter, AnswersBadLinesExactlyAsAShardDoes) {
+  constexpr std::size_t kCap = 64;
+  RouterConfig router_config;
+  router_config.max_line_bytes = kCap;
+  Router router(std::move(router_config));  // rejecting needs no shard
+  svc::QueryService service(service_options(1));
+  svc::HandlerConfig handler_config;
+  handler_config.max_line_bytes = kCap;
+  net::ServiceBackend shard(service, std::move(handler_config));
+
+  using Kind = net::LineBackend::Outcome::Kind;
+  const std::pair<std::string, Kind> lines[] = {
+      {std::string(kCap + 1, 'x'), Kind::kRespond},   // over the cap
+      {std::string(kCap, ' ') + "\r", Kind::kSkip},   // CR is framing
+      {R"({"op":"solve","task":)", Kind::kRespond},   // malformed
+      {R"({"id":"a" "op":"info"})", Kind::kRespond},  // malformed
+      {"", Kind::kSkip},
+      {" \t", Kind::kSkip},
+      {"# comment", Kind::kSkip},
+      {R"({"op":"stats"})", Kind::kControl},
+  };
+  int line_no = 0;
+  for (const auto& [line, kind] : lines) {
+    ++line_no;
+    const auto unexpected = [&line](std::string&&) {
+      ADD_FAILURE() << "no query expected for: " << line;
+    };
+    const net::LineBackend::Outcome routed =
+        router.on_line(line, line_no, unexpected);
+    const net::LineBackend::Outcome served =
+        shard.on_line(line, line_no, unexpected);
+    EXPECT_EQ(routed.kind, kind) << line;
+    EXPECT_EQ(served.kind, kind) << line;
+    EXPECT_EQ(routed.response, served.response) << line;
+  }
+  // The membership ops are the router's own control ops; a shard rejects
+  // them at once as unknown.
+  const auto no_query = [](std::string&&) { ADD_FAILURE(); };
+  const std::string membership = R"({"op":"cluster_stats"})";
+  EXPECT_EQ(router.on_line(membership, 1, no_query).kind, Kind::kControl);
+  const net::LineBackend::Outcome rejected =
+      shard.on_line(membership, 1, no_query);
+  EXPECT_EQ(rejected.kind, Kind::kRespond);
+  EXPECT_NE(rejected.response.find("unknown op"), std::string::npos);
+  EXPECT_EQ(router.stats().requests, 0u);
 }
 
 }  // namespace

@@ -19,6 +19,8 @@
 
 #include "model/model.hpp"
 #include "model/restrict.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "service/handler.hpp"
 #include "service/query_service.hpp"
 #include "service/sds_cache.hpp"
@@ -194,6 +196,68 @@ TEST(HandlerModel, ConvergenceFallsBackToRestrictedSolve) {
 }
 
 // ---------------------------------------------------------------------------
+// Observability: a restricted tower is acquired -- and traced and timed --
+// exactly like a full one.
+// ---------------------------------------------------------------------------
+
+std::size_t spans_of(QueryService& service, obs::SpanKind kind) {
+  std::size_t n = 0;
+  for (const obs::Span& s : service.observer().trace()->snapshot()) {
+    n += s.kind == kind ? 1 : 0;
+  }
+  return n;
+}
+
+std::uint64_t chain_for_samples(QueryService& service) {
+  return service.observer()
+      .metrics()
+      .histogram("wfc_chain_for_us", obs::latency_bounds_us())
+      .count();
+}
+
+QueryService::Options traced_options() {
+  QueryService::Options options;
+  options.workers = 1;
+  options.obs.enabled = true;
+  return options;
+}
+
+TEST(ModelObs, RestrictedTowersRecordChainSpansAndTimings) {
+  QueryService service(traced_options());
+  RequestHandler handler(service, {});
+  const std::string line =
+      R"({"op":"solve","task":"set-consensus","procs":3,"k":2,)"
+      R"js("max_level":1,"model":"t_resilient(1)")js";
+  const std::string first = roundtrip(handler, line + "}");
+  ASSERT_NE(first.find("\"level\":1"), std::string::npos) << first;
+  // Levels 0 and 1 each acquire the full tower and the restricted one, and
+  // every acquisition builds.
+  EXPECT_EQ(spans_of(service, obs::SpanKind::kChainBuild), 4u);
+  EXPECT_EQ(spans_of(service, obs::SpanKind::kCacheHit), 0u);
+  EXPECT_EQ(chain_for_samples(service), 4u);
+
+  // Another budget misses the result memo but finds all four towers.
+  const std::string repeat = roundtrip(handler, line + R"(,"budget":1000000})");
+  ASSERT_NE(repeat.find("\"cache_hit\":true"), std::string::npos) << repeat;
+  EXPECT_EQ(spans_of(service, obs::SpanKind::kChainBuild), 4u);
+  EXPECT_EQ(spans_of(service, obs::SpanKind::kCacheHit), 4u);
+  EXPECT_EQ(chain_for_samples(service), 8u);
+}
+
+TEST(ModelObs, RestrictedConvergenceTimesItsTowers) {
+  QueryService service(traced_options());
+  RequestHandler handler(service, {});
+  const std::string out = roundtrip(
+      handler, R"({"op":"convergence","procs":2,"depth":1,"max_level":2,)"
+               R"js("model":"t_resilient(0)"})js");
+  ASSERT_NE(out.find("\"level\":1"), std::string::npos) << out;
+  // The fallback is the solve runner: levels 0 and 1 each acquire, time
+  // and trace a full and a restricted tower.
+  EXPECT_EQ(chain_for_samples(service), 4u);
+  EXPECT_EQ(spans_of(service, obs::SpanKind::kChainBuild), 4u);
+}
+
+// ---------------------------------------------------------------------------
 // Result-memo separation: one task object, two models, two verdicts.
 // ---------------------------------------------------------------------------
 
@@ -254,8 +318,7 @@ TEST(CacheSeparation, DerivedTowersGetTheirOwnEntries) {
                            int depth) {
     return model::restricted_tower(*full, depth, *sync, prior);
   };
-  const auto derived =
-      cache.derived_chain_for(key, sync->tag(), 1, builder, &built);
+  const auto derived = cache.acquire(key, sync->tag(), 1, builder, &built);
   ASSERT_NE(derived, nullptr);
   EXPECT_TRUE(built);
   EXPECT_EQ(cache.stats().entries, 2u);
@@ -265,8 +328,7 @@ TEST(CacheSeparation, DerivedTowersGetTheirOwnEntries) {
 
   // Same key again: pure hit, no rebuild, same tower object.
   bool built_again = true;
-  const auto again =
-      cache.derived_chain_for(key, sync->tag(), 1, builder, &built_again);
+  const auto again = cache.acquire(key, sync->tag(), 1, builder, &built_again);
   EXPECT_FALSE(built_again);
   EXPECT_EQ(again.get(), derived.get());
 }
@@ -352,7 +414,7 @@ TEST(StoreModelTags, RestartServesRestrictedTowersWithoutRebuilding) {
     SdsCache cache(opts);
     const auto full = cache.chain_for(input, 1);
     bool built = false;
-    const auto derived = cache.derived_chain_for(
+    const auto derived = cache.acquire(
         key, sync->tag(), 1,
         [&](std::shared_ptr<const proto::SdsChain> prior, int depth) {
           return model::restricted_tower(*full, depth, *sync, prior);
@@ -365,7 +427,7 @@ TEST(StoreModelTags, RestartServesRestrictedTowersWithoutRebuilding) {
   // must never run (it aborts the test if it does).
   SdsCache cache(opts);
   bool built = true;
-  const auto derived = cache.derived_chain_for(
+  const auto derived = cache.acquire(
       key, sync->tag(), 1,
       [](std::shared_ptr<const proto::SdsChain>, int)
           -> std::shared_ptr<const proto::SdsChain> {

@@ -685,30 +685,31 @@ TEST(NetClient, SendRawTimesOutWhenPeerNeverDrains) {
 // ---------------------------------------------------------------------------
 
 TEST(Loadgen, StripIdFieldHandlesEveryPosition) {
-  EXPECT_EQ(strip_id_field(R"({"id":"a","op":"solve"})"), R"({"op":"solve"})");
-  EXPECT_EQ(strip_id_field(R"({"op":"solve","id":"a"})"), R"({"op":"solve"})");
-  EXPECT_EQ(strip_id_field(R"({"op":"x","id":"a","k":1})"),
-            R"({"op":"x","k":1})");
-  EXPECT_EQ(strip_id_field(R"({"id":42,"op":"x"})"), R"({"op":"x"})");
-  EXPECT_EQ(strip_id_field(R"({"id":"a"})"), R"({})");
-  EXPECT_EQ(strip_id_field(R"({"op":"solve"})"), R"({"op":"solve"})");
+  const auto strip_id = [](const std::string& line) {
+    return svc::strip_field(line, "id");
+  };
+  EXPECT_EQ(strip_id(R"({"id":"a","op":"solve"})"), R"({"op":"solve"})");
+  EXPECT_EQ(strip_id(R"({"op":"solve","id":"a"})"), R"({"op":"solve"})");
+  EXPECT_EQ(strip_id(R"({"op":"x","id":"a","k":1})"), R"({"op":"x","k":1})");
+  EXPECT_EQ(strip_id(R"({"id":42,"op":"x"})"), R"({"op":"x"})");
+  EXPECT_EQ(strip_id(R"({"id":"a"})"), R"({})");
+  EXPECT_EQ(strip_id(R"({"op":"solve"})"), R"({"op":"solve"})");
   // "id" as a VALUE is not the id field.
-  EXPECT_EQ(strip_id_field(R"({"task":"id"})"), R"({"task":"id"})");
-  EXPECT_EQ(strip_id_field(R"({"task":"id","id":"a"})"), R"({"task":"id"})");
+  EXPECT_EQ(strip_id(R"({"task":"id"})"), R"({"task":"id"})");
+  EXPECT_EQ(strip_id(R"({"task":"id","id":"a"})"), R"({"task":"id"})");
 }
 
 TEST(Loadgen, StripFieldGeneralizesBeyondId) {
   // The router's deadline rewrite strips timeout_ms with the same helper.
-  EXPECT_EQ(strip_field(R"({"timeout_ms":500,"op":"solve"})", "timeout_ms"),
-            R"({"op":"solve"})");
-  EXPECT_EQ(strip_field(R"({"op":"solve","timeout_ms":500})", "timeout_ms"),
-            R"({"op":"solve"})");
-  EXPECT_EQ(strip_field(R"({"a":1,"timeout_ms":500,"b":2})", "timeout_ms"),
-            R"({"a":1,"b":2})");
-  EXPECT_EQ(strip_field(R"({"op":"x"})", "timeout_ms"), R"({"op":"x"})");
+  const auto strip = [](const std::string& line) {
+    return svc::strip_field(line, "timeout_ms");
+  };
+  EXPECT_EQ(strip(R"({"timeout_ms":500,"op":"solve"})"), R"({"op":"solve"})");
+  EXPECT_EQ(strip(R"({"op":"solve","timeout_ms":500})"), R"({"op":"solve"})");
+  EXPECT_EQ(strip(R"({"a":1,"timeout_ms":500,"b":2})"), R"({"a":1,"b":2})");
+  EXPECT_EQ(strip(R"({"op":"x"})"), R"({"op":"x"})");
   // The key text as a VALUE is untouched.
-  EXPECT_EQ(strip_field(R"({"note":"timeout_ms"})", "timeout_ms"),
-            R"({"note":"timeout_ms"})");
+  EXPECT_EQ(strip(R"({"note":"timeout_ms"})"), R"({"note":"timeout_ms"})");
 }
 
 TEST(Loadgen, LoadCorpusSkipsCommentsAndValidates) {

@@ -477,7 +477,10 @@ TEST(JsonlRoundTrip, V2EnvelopeSplitsTransportStatusFromVerdict) {
   EXPECT_EQ(q4.count("verdict"), 0u);
 }
 
-TEST(JsonlRoundTrip, LegacyTaskLinesRouteWithOneDeprecationNote) {
+TEST(JsonlRoundTrip, OpLessLinesAreRejected) {
+  // Every request names its op: a bare {"task":...} line answers
+  // invalid_argument exactly as a solve without "task" does, and the lines
+  // around it still run.
   svc::ServeConfig config;
   config.stats_at_eof = false;
   std::vector<std::string> out;
@@ -485,20 +488,26 @@ TEST(JsonlRoundTrip, LegacyTaskLinesRouteWithOneDeprecationNote) {
   const int errors = run_serve(
       R"({"task":"consensus","procs":2,"values":2})"
       "\n"
-      R"({"task":"approx","procs":2,"grid":3})"
+      R"({"id":"b","task":"approx","procs":2,"grid":3})"
+      "\n"
+      R"({"id":"c","op":"solve","procs":2})"
+      "\n"
+      R"({"op":"solve","task":"approx","procs":2,"grid":3})"
       "\n",
       config, &out, &err);
-  EXPECT_EQ(errors, 0);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(svc::parse_flat_json(out[0]).at("verdict"), "UNSOLVABLE");
-  EXPECT_EQ(svc::parse_flat_json(out[1]).at("verdict"), "SOLVABLE");
-  // The deprecation note prints once per run, not once per line.
-  std::size_t notes = 0;
-  for (std::size_t pos = err.find("deprecated"); pos != std::string::npos;
-       pos = err.find("deprecated", pos + 1)) {
-    ++notes;
-  }
-  EXPECT_EQ(notes, 1u) << err;
+  EXPECT_EQ(errors, 3);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[0],
+            R"({"status":"invalid_argument","line":1,)"
+            R"("error":"missing field \"op\""})");
+  EXPECT_EQ(out[1],
+            R"({"id":"b","status":"invalid_argument","line":2,)"
+            R"("error":"missing field \"op\""})");
+  EXPECT_EQ(out[2],
+            R"({"id":"c","status":"invalid_argument","line":3,)"
+            R"("error":"missing field \"task\""})");
+  EXPECT_EQ(svc::parse_flat_json(out[3]).at("verdict"), "SOLVABLE");
+  EXPECT_EQ(err.find("deprecated"), std::string::npos) << err;
 }
 
 TEST(JsonlRoundTrip, MetricsOpReconcilesAndWritesPrometheusFile) {

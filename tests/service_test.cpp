@@ -506,6 +506,37 @@ TEST(Frontend, InternedTaskTableIsBounded) {
   EXPECT_EQ(handler.interned_tasks(), 8u);
 }
 
+TEST(Frontend, RequestOptionsAndModelInternToOneTask) {
+  QueryService::Options options;
+  options.workers = 1;
+  QueryService service(options);
+  RequestHandler handler(service, HandlerConfig{});
+  const auto submit = [&](const std::string& line) {
+    RequestHandler::ParsedLine parsed = handler.parse(line, 1);
+    ASSERT_EQ(parsed.action, RequestHandler::Action::kSubmit) << line;
+    RequestHandler::Rendered error;
+    std::optional<RequestHandler::Submitted> submitted =
+        handler.submit(parsed, &error);
+    ASSERT_TRUE(submitted.has_value()) << error.line;
+    (void)submitted->ticket.result.get();
+  };
+  // id, max_level, budget, timeout_ms and model select how a query runs,
+  // not which task it asks about: every variant shares one task object.
+  const std::string task = R"("task":"consensus","procs":2,"values":2)";
+  for (const std::string& extra :
+       {std::string(), std::string(R"("id":"a",)"),
+        std::string(R"("max_level":1,)"), std::string(R"("budget":1000,)"),
+        std::string(R"("timeout_ms":60000,)"),
+        std::string(R"js("model":"t_resilient(1)",)js"),
+        std::string(R"("model":"wait_free",)")}) {
+    submit(R"({"op":"solve",)" + extra + task + "}");
+    EXPECT_EQ(handler.interned_tasks(), 1u) << extra;
+  }
+  // A task parameter does identify the task.
+  submit(R"({"op":"solve","task":"consensus","procs":2,"values":3})");
+  EXPECT_EQ(handler.interned_tasks(), 2u);
+}
+
 TEST(Frontend, DepthFieldOverTheCapIsRejected) {
   QueryService::Options options;
   options.workers = 1;
@@ -639,7 +670,7 @@ TEST(RandomizedStress, MixedWorkloadIsDeterministicUnderSeed) {
 
 TEST(Frontend, RejectsUnknownOpPerLine) {
   std::istringstream in(
-      R"({"id":"good","task":"approx","procs":2,"grid":3})" "\n"
+      R"({"id":"good","op":"solve","task":"approx","procs":2,"grid":3})" "\n"
       R"({"id":"bad","op":"frobnicate","task":"consensus"})" "\n"
       R"({"op":"solve","id":"after","task":"approx","procs":2,"grid":3})"
       "\n");
@@ -699,9 +730,9 @@ TEST(Frontend, ServesABatchInOrder) {
   std::istringstream in(
       "# comment\n"
       "\n"
-      R"({"id":"q1","task":"consensus","procs":2,"values":2})" "\n"
-      R"({"id":"q2","task":"approx","procs":2,"grid":3})" "\n"
-      R"({"id":"q3","task":"approx","procs":2,"grid":3})" "\n"
+      R"({"id":"q1","op":"solve","task":"consensus","procs":2,"values":2})" "\n"
+      R"({"id":"q2","op":"solve","task":"approx","procs":2,"grid":3})" "\n"
+      R"({"id":"q3","op":"solve","task":"approx","procs":2,"grid":3})" "\n"
       R"({"nonsense":true})" "\n"
       R"({"op":"emulate","procs":2,"shots":1})" "\n"
       R"({"op":"stats"})" "\n");

@@ -1,10 +1,11 @@
 // Torture tests for the wfc::wf wait-free data plane: epoch reclamation
 // (deferral until guards exit, drain-to-zero under churn), the lock-free
-// hash map (exactness, same-key convergence, the announce/helping path,
-// tombstone reuse), the CLOCK cache (hit+miss reconciliation under
-// multi-threaded churn, pin-skipping eviction, coldest-first victim
-// choice, shed/clear, detached-handle overflow), and the sharded stats
-// primitives (fold exactness once writers are quiescent).
+// hash map (exactness, same-key convergence, the announce/helping path
+// and one fixed helper interleaving, tombstone reuse), the CLOCK cache
+// (hit+miss reconciliation under multi-threaded churn, pin-skipping
+// eviction, coldest-first victim choice, shed/clear, detached-handle
+// overflow), and the sharded stats primitives (fold exactness once
+// writers are quiescent).
 //
 // Thread counts deliberately oversubscribe small machines: the interesting
 // interleavings (CAS races, helping, evict-vs-pin) come from preemption,
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -254,6 +256,167 @@ TEST(WfHashMap, AnnouncePathCompletesEveryInsert) {
   }
   EXPECT_GE(telemetry().announces.value(),
             announces_before + kThreads * kPerThread);
+}
+
+// A fixed interleaving of three helpers on one announced insert.  Every key
+// hashes to slot 0, and threads park inside the two places where the map
+// calls user code: key comparison and value copies.
+namespace park {
+
+enum class Role { kNone, kAnnouncer, kHelper, kLateHelper };
+thread_local Role role = Role::kNone;
+
+struct Gate {
+  std::atomic<bool> parked{false};
+  std::atomic<bool> open{false};
+  void park() {
+    parked.store(true);
+    while (!open.load()) std::this_thread::yield();
+  }
+};
+Gate announcer_scan;  // the announcer, in its duplicate scan
+Gate late_copy;       // the late helper, copying the prototype
+Gate late_scan;       // the late helper, in its duplicate scan
+std::atomic<bool> announcer_copied{false};
+std::atomic<bool> helper_copied{false};
+std::atomic<bool> late_copied{false};
+
+void open_all() {
+  for (Gate* g : {&announcer_scan, &late_copy, &late_scan}) g->open.store(true);
+}
+
+void reset() {  // for --gtest_repeat
+  for (Gate* g : {&announcer_scan, &late_copy, &late_scan}) {
+    g->parked.store(false);
+    g->open.store(false);
+  }
+  for (auto* f : {&announcer_copied, &helper_copied, &late_copied}) {
+    f->store(false);
+  }
+}
+
+std::size_t live_nodes();  // the map's size(); defined once the map exists
+
+struct Value {
+  int v = 0;
+  Value() = default;
+  explicit Value(int x) : v(x) {}
+  Value(const Value& other) : v(other.v) {
+    if (role == Role::kAnnouncer) announcer_copied.store(true);
+    if (role == Role::kHelper) helper_copied.store(true);
+    if (role == Role::kLateHelper && !late_copied.exchange(true)) {
+      late_copy.park();
+    }
+  }
+  Value& operator=(const Value&) = default;
+};
+
+struct SlotZero {
+  std::size_t operator()(std::uint64_t) const { return 0; }
+};
+
+struct ParkingEq {
+  bool operator()(std::uint64_t a, std::uint64_t b) const {
+    // Three live nodes after a thread's own copy went in: the comparison is
+    // the first step of its duplicate scan (slot 0).
+    if (live_nodes() == 3) {
+      if (role == Role::kAnnouncer && announcer_copied.load() &&
+          !announcer_scan.parked.load()) {
+        announcer_scan.park();
+      }
+      if (role == Role::kLateHelper && late_copied.load() &&
+          !late_scan.parked.load()) {
+        late_scan.park();
+      }
+    }
+    return a == b;
+  }
+};
+
+using Map = HashMap<std::uint64_t, Value, SlotZero, ParkingEq>;
+Map* map = nullptr;
+std::size_t live_nodes() { return map->size(); }
+
+// Waits until `gate` parks.  On timeout opens every gate so all threads
+// finish, and returns false.
+bool parked(const Gate& gate) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!gate.parked.load()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      open_all();
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+}  // namespace park
+
+TEST(WfHashMap, HelpersNeverUnlinkTheCommittedCopy) {
+  // Keys Y=1 and X=2 sit in slots 0 and 1.  The announcer of K=3 installs
+  // its copy p in slot 2 and parks in its duplicate scan.  A late helper
+  // reads the op as open and parks while copying.  A helper meets p and
+  // commits it.  X is erased.  The late helper installs copy c in X's
+  // tombstone -- earlier than p -- and parks in its scan.  The announcer
+  // resumes and meets c.  p was committed, so p must stay and c must go.
+  park::reset();
+  park::Map::Options opt;
+  opt.announce_after = 0;
+  park::Map map(std::move(opt));
+  park::map = &map;
+  const auto insert = [&map](std::uint64_t key, int value, bool* inserted) {
+    Epoch::Guard guard(Epoch::global());
+    return map.insert_or_get(
+        key, [&] { return new park::Map::Node{key, park::Value(value)}; },
+        inserted);
+  };
+  bool ins = false;
+  ASSERT_NE(insert(1, 10, &ins), nullptr);
+  ASSERT_NE(insert(2, 20, &ins), nullptr);
+
+  park::Map::Node* got = nullptr;
+  bool inserted = false;
+  std::thread announcer([&] {
+    park::role = park::Role::kAnnouncer;
+    got = insert(3, 30, &inserted);
+  });
+  // A helper polls one announce cell per operation; 2 * 64 operations on
+  // the present key Y visit the announcer's cell at least once.
+  const auto helper = [&](park::Role role, const std::atomic<bool>& copied) {
+    return std::thread([&, role] {
+      park::role = role;
+      for (int i = 0; i < 2 * 64 && !copied.load(); ++i) {
+        bool present = false;
+        insert(1, 10, &present);
+      }
+    });
+  };
+  EXPECT_TRUE(park::parked(park::announcer_scan));
+  std::thread late = helper(park::Role::kLateHelper, park::late_copied);
+  EXPECT_TRUE(park::parked(park::late_copy));
+  std::thread early = helper(park::Role::kHelper, park::helper_copied);
+  early.join();
+  EXPECT_TRUE(park::helper_copied.load());
+  {
+    Epoch::Guard guard(Epoch::global());
+    EXPECT_TRUE(map.erase(2));
+  }
+  park::late_copy.open.store(true);
+  EXPECT_TRUE(park::parked(park::late_scan));
+  park::announcer_scan.open.store(true);
+  announcer.join();
+  park::late_scan.open.store(true);
+  late.join();
+
+  Epoch::Guard guard(Epoch::global());
+  ASSERT_NE(got, nullptr);
+  EXPECT_TRUE(inserted) << "a copy made for the op was reported as found";
+  EXPECT_EQ(map.find(3), got) << "the committed copy was unlinked";
+  EXPECT_EQ(got->value.v, 30);
+  EXPECT_EQ(map.size(), 2u);
+  park::map = nullptr;
 }
 
 // ---------------------------------------------------------------------------
