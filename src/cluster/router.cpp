@@ -1,16 +1,24 @@
 #include "cluster/router.hpp"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
+#include <future>
 #include <map>
-#include <set>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "common/version.hpp"
+#include "net/client.hpp"
+#include "net/server.hpp"
 #include "service/jsonl.hpp"
 
 namespace wfc::cluster {
@@ -26,6 +34,48 @@ constexpr int kMaxAttempts = 3;
 /// Consecutive failed probes that mark a shard Suspect (probe_down_after
 /// mark it Down).
 constexpr int kProbeSuspectAfter = 1;
+
+/// Upstream loop bounds: epoll batch, bytes read from one socket per
+/// event, and the longest response line a shard may send.
+constexpr int kMaxEvents = 64;
+constexpr std::size_t kReadBurstBytes = 1u << 20;
+constexpr std::size_t kMaxResponseBytes = 8u << 20;
+
+/// A small number per calling thread.  Each thread sends on connection
+/// lane % pool size, so the lines one front io-loop pass routes to a shard
+/// share a connection, and leave in one send.
+std::size_t thread_lane() {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t lane =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return lane;
+}
+
+/// The sequence number in a router id "r<digits>"; 0 (never issued) for
+/// any other id.
+std::uint64_t parse_seq(std::string_view id) {
+  if (id.size() < 2 || id[0] != 'r') return 0;
+  std::uint64_t seq = 0;
+  const char* end = id.data() + id.size();
+  const auto [ptr, ec] = std::from_chars(id.data() + 1, end, seq);
+  return ec == std::errc() && ptr == end ? seq : 0;
+}
+
+/// Wakes an event loop through its eventfd.
+void kick(const net::Fd& eventfd) {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(eventfd.get(), &one, sizeof(one));
+}
+
+std::string_view trim_space(std::string_view s) {
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
+    s.remove_prefix(1);
+  }
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
+    s.remove_suffix(1);
+  }
+  return s;
+}
 
 /// The membership ops only the router implements; like svc::is_control_op
 /// ops they take the control path.
@@ -55,13 +105,17 @@ std::string key_safe(const std::string& id) {
   return out;
 }
 
+/// The whole of `text` as a decimal integer, else `fallback`.
+std::int64_t int_or(const std::string& text, std::int64_t fallback) {
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  return (end != nullptr && *end == '\0') ? v : fallback;
+}
+
 std::int64_t int_or(const svc::Fields& fields, const char* key,
                     std::int64_t fallback) {
   const auto it = fields.find(key);
-  if (it == fields.end()) return fallback;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : fallback;
+  return it == fields.end() ? fallback : int_or(it->second, fallback);
 }
 
 }  // namespace
@@ -113,24 +167,62 @@ bool TokenBucket::try_take() {
 // ---------------------------------------------------------------------------
 // Internal structures.
 
+/// One pooled nonblocking connection to a shard.
 struct Router::UpstreamConn {
+  Shard* shard = nullptr;  // the owner, which holds this connection
   int index = 0;
-  /// Guards client/generation; sends from front io threads serialize here.
-  std::mutex send_mu;
-  std::shared_ptr<net::Client> client;  // null while down
+
+  /// Guards what senders touch: the socket, its generation and the
+  /// outbound queue.  Only the upstream loop changes `sock`, so the loop
+  /// reads it unlocked.
+  std::mutex mu;
+  net::Fd sock;  // invalid while down
+  bool up = false;  // connected and taking lines
   std::uint64_t generation = 0;
-  std::thread reader;
-  std::atomic<bool> stop{false};
-  std::mutex wake_mu;
-  std::condition_variable wake_cv;  // interrupts reconnect backoff
+  std::string out;  // queued request lines, each with its '\n'
+  std::size_t out_pos = 0;  // bytes of `out` already sent
+  bool flush_queued = false;  // a flush will run
+  bool writing = false;  // the loop sends `out` as the socket drains
+
+  // Upstream loop only.
+  enum class Phase { kIdle, kConnecting, kConnected };
+  Phase phase = Phase::kIdle;
+  std::string rbuf;
+  /// kConnecting: the connect bound; kIdle: the next connect attempt;
+  /// kConnected: the stall bound while `writing`.  max() = none.
+  Clock::time_point deadline = Clock::time_point::max();
+  std::chrono::milliseconds backoff{0};
+
+  /// Sends as much of `out` as the socket takes; false on a socket error.
+  /// Caller holds `mu`.
+  bool send_queued() {
+    while (out_pos < out.size()) {
+      const ssize_t n = ::send(sock.get(), out.data() + out_pos,
+                               out.size() - out_pos, MSG_NOSIGNAL);
+      if (n > 0) {
+        out_pos += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      return false;
+    }
+    if (out_pos == out.size()) {
+      out.clear();
+      out_pos = 0;
+    } else if (out_pos > out.size() / 2) {
+      out.erase(0, out_pos);
+      out_pos = 0;
+    }
+    return true;
+  }
 };
 
 struct Router::Shard {
   std::string id;
   net::Endpoint addr;
-  std::vector<std::unique_ptr<UpstreamConn>> conns;
+  std::vector<std::unique_ptr<UpstreamConn>> conns;  // fixed at creation
   std::atomic<int> up_conns{0};
-  std::atomic<std::uint32_t> rr{0};
   std::atomic<bool> draining{false};
   /// Soft-backoff window (steady microsecond epoch) set by upstream
   /// overloaded / resource_exhausted envelopes carrying retry_after_ms.
@@ -156,8 +248,7 @@ struct Router::Shard {
 };
 
 struct Router::Pending {
-  std::uint64_t seq = 0;
-  std::string rid;        // "r<seq>", the upstream id
+  std::uint64_t seq = 0;  // the upstream id is "r<seq>"
   std::string client_id;  // raw (unescaped) client id
   bool had_id = false;
   int line_no = 0;
@@ -202,23 +293,36 @@ Router::~Router() { stop(); }
 
 void Router::start() {
   if (started_flag_.exchange(true)) return;
+  epoll_ = net::Fd(::epoll_create1(EPOLL_CLOEXEC));
+  if (!epoll_.valid()) {
+    throw std::system_error(errno, std::generic_category(), "epoll_create1");
+  }
+  wake_ = net::Fd(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK));
+  if (!wake_.valid()) {
+    throw std::system_error(errno, std::generic_category(), "eventfd");
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.ptr = nullptr;  // the eventfd; connections carry their address
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, wake_.get(), &ev) != 0) {
+    throw std::system_error(errno, std::generic_category(), "epoll_ctl");
+  }
+  std::vector<std::shared_ptr<Shard>> initial;
   {
     std::unique_lock<std::shared_mutex> ml(membership_mu_);
     for (const ShardSpec& spec : config_.shards) {
       if (shards_.count(spec.id) != 0) {
         throw std::invalid_argument("duplicate shard id \"" + spec.id + "\"");
       }
-      auto shard = std::make_shared<Shard>();
-      shard->id = spec.id;
-      shard->addr = spec.addr;
-      shards_.emplace(spec.id, shard);
+      initial.push_back(make_shard(spec));
+      shards_.emplace(spec.id, initial.back());
       ring_.add(spec.id);
     }
   }
-  {
-    std::shared_lock<std::shared_mutex> ml(membership_mu_);
-    for (auto& [id, shard] : shards_) start_shard(shard);
-  }
+  // Connecting starts here, before the loop thread exists: a connection
+  // counts as up the moment its connect completes.
+  for (const auto& shard : initial) attach(shard);
+  io_ = std::thread([this] { io_loop(); });
   maintenance_ = std::thread([this] { maintenance_thread(); });
   if (config_.probe_interval.count() > 0) {
     prober_ = std::thread([this] { probe_thread(); });
@@ -233,15 +337,23 @@ void Router::stop() {
   stop_cv_.notify_all();
   if (maintenance_.joinable()) maintenance_.join();
   if (prober_.joinable()) prober_.join();
-
-  std::vector<std::shared_ptr<Shard>> doomed;
   {
     std::unique_lock<std::shared_mutex> ml(membership_mu_);
-    for (auto& [id, shard] : shards_) doomed.push_back(shard);
     shards_.clear();
     ring_ = Ring(config_.vnodes);
   }
-  for (auto& shard : doomed) stop_shard(shard);
+  {
+    std::lock_guard<std::mutex> pl(post_mu_);
+    io_quit_ = true;
+  }
+  kick(wake_);
+  if (io_.joinable()) io_.join();
+  // The loop has exited, so its connections are this thread's.  Tearing
+  // them down fails what rode on them: no shard is left to take it.
+  for (const auto& shard : attached_) {
+    for (const auto& conn : shard->conns) teardown(*conn, /*reconnect=*/false);
+  }
+  attached_.clear();
 
   // Whatever the conn-death sweeps could not re-home answers overloaded so
   // every accepted Done fires exactly once even across shutdown.
@@ -289,31 +401,21 @@ net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
                                          std::string_view line, int line_no,
                                          Done done) {
   Outcome out;
-  const auto id_it = fields.find("id");
-  const std::string client_id = id_it == fields.end() ? "" : id_it->second;
-  {
-    std::lock_guard<std::mutex> pl(pending_mu_);
-    if (pending_.size() >= config_.max_pending) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      out.kind = Outcome::Kind::kRespond;
-      out.response = svc::error_record(
-          client_id, line_no, svc::Status::kOverloaded,
-          "router pending table full", jittered_retry_after());
-      return out;
-    }
-  }
-
   auto p = std::make_shared<Pending>();
   p->seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  p->rid = "r" + std::to_string(p->seq);
-  p->client_id = client_id;
-  p->had_id = id_it != fields.end();
+  if (const auto id_it = fields.find("id"); id_it != fields.end()) {
+    p->client_id = id_it->second;
+    p->had_id = true;
+  }
   p->line_no = line_no;
   // The random-routing control arm spreads keys uniformly instead.
   p->key = config_.random_routing ? mix64(p->seq) : routing_key(fields);
   p->done = std::move(done);
   p->submitted = Clock::now();
-  p->wire = svc::with_id(svc::strip_field(std::string(line), "id"), p->rid);
+  // The client's id out and ours in, in one pass.  Whitespace around the
+  // object goes too, so the wire line is exactly {...} (wire_now appends
+  // inside its closing brace).
+  p->wire = svc::replace_id(trim_space(line), "r" + std::to_string(p->seq));
 
   const std::int64_t timeout_ms = int_or(fields, "timeout_ms", 0);
   if (timeout_ms > 0) {
@@ -336,13 +438,27 @@ net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
     }
   }
 
+  bool admitted = false;
   {
-    std::lock_guard<std::mutex> pl(pending_mu_);
-    pending_.emplace(p->seq, p);
-    // Bumped under the lock so metrics' reconciliation invariant
+    // The capacity check and the registration share one critical section.
+    // requests_ moves under the lock so metrics' reconciliation invariant
     // (requests == responses + timeouts + failed + pending) holds at every
     // instant, not just at quiescence.
-    requests_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> pl(pending_mu_);
+    if (pending_.size() < config_.max_pending) {
+      pending_.emplace(p->seq, p);
+      requests_.fetch_add(1, std::memory_order_relaxed);
+      admitted = true;
+    } else {
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (!admitted) {
+    out.kind = Outcome::Kind::kRespond;
+    out.response = svc::error_record(
+        p->client_id, line_no, svc::Status::kOverloaded,
+        "router pending table full", jittered_retry_after());
+    return out;
   }
 
   if (!route_and_send(p, p->wire, "")) {
@@ -350,7 +466,7 @@ net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
       // Resolve inline: the Done callback is unused and dropped with `out`.
       out.kind = Outcome::Kind::kRespond;
       out.response =
-          svc::error_record(client_id, line_no, svc::Status::kOverloaded,
+          svc::error_record(p->client_id, line_no, svc::Status::kOverloaded,
                             "no shard available", jittered_retry_after());
       return out;
     }
@@ -381,21 +497,23 @@ bool Router::route_and_send(const std::shared_ptr<Pending>& p,
                             const std::string& wire,
                             const std::string& exclude) {
   std::shared_lock<std::shared_mutex> ml(membership_mu_);
-  std::set<std::string> tried;
-  if (!exclude.empty()) tried.insert(exclude);
+  // Shards this call passes over: `exclude`, then each that took no line.
+  std::vector<std::string> skip;
+  if (!exclude.empty()) skip.push_back(exclude);
   const Ring::Accept healthy = accept_predicate(true);
   const Ring::Accept any_up = accept_predicate(false);
-  while (true) {
-    const auto not_tried = [&](const Ring::Accept& base) {
-      return [&tried, &base](const std::string& id) {
-        return tried.count(id) == 0 && base(id);
-      };
+  const auto not_skipped = [&skip](const Ring::Accept& base) {
+    return [&skip, &base](const std::string& id) {
+      return std::find(skip.begin(), skip.end(), id) == skip.end() &&
+             base(id);
     };
+  };
+  while (true) {
     // Prefer shards outside their backoff window; under cluster-wide
     // pressure fall back to the fingerprint's true home (degraded beats
     // down, and locality still pays).
-    std::string id = ring_.pick(p->key, not_tried(healthy));
-    if (id.empty()) id = ring_.pick(p->key, not_tried(any_up));
+    std::string id = ring_.pick(p->key, not_skipped(healthy));
+    if (id.empty()) id = ring_.pick(p->key, not_skipped(any_up));
     if (id.empty()) return false;
     const auto it = shards_.find(id);
     if (it == shards_.end()) return false;  // cannot happen: accept checked
@@ -408,160 +526,393 @@ bool Router::route_and_send(const std::shared_ptr<Pending>& p,
       it->second->routed.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
-    tried.insert(id);
+    skip.push_back(std::move(id));
   }
 }
 
 bool Router::send_on_shard(const std::shared_ptr<Shard>& shard,
                            const std::shared_ptr<Pending>& p,
                            const std::string& wire) {
-  const int n = static_cast<int>(shard->conns.size());
-  const std::uint32_t start = shard->rr.fetch_add(1, std::memory_order_relaxed);
-  for (int i = 0; i < n; ++i) {
-    UpstreamConn* conn =
-        shard->conns[(start + static_cast<std::uint32_t>(i)) % n].get();
-    std::lock_guard<std::mutex> sl(conn->send_mu);
-    if (!conn->client) continue;
-    try {
-      conn->client->send_line(wire);
-    } catch (...) {
-      // Broken or wedged socket: wake the reader (it owns teardown and
-      // re-dispatch) and try the next connection.
-      ::shutdown(conn->client->fd(), SHUT_RDWR);
-      continue;
+  const std::size_t n = shard->conns.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    UpstreamConn& conn = *shard->conns[(thread_lane() + i) % n];
+    bool schedule = false;
+    {
+      std::lock_guard<std::mutex> cl(conn.mu);
+      if (!conn.up) continue;
+      conn.out.append(wire);
+      conn.out.push_back('\n');
+      {
+        // Recorded under the connection lock: a teardown either sees this
+        // send (and re-dispatches it) or ran before it (and the line went
+        // elsewhere).
+        std::lock_guard<std::mutex> gl(p->mu);
+        p->sends.push_back(Pending::Send{&conn, conn.generation, shard->id});
+      }
+      // One flush per pass: later lines ride the one already scheduled,
+      // or the loop's own sends while it waits for the socket to drain.
+      schedule = !conn.flush_queued && !conn.writing;
+      if (schedule) conn.flush_queued = true;
     }
-    std::lock_guard<std::mutex> gl(p->mu);
-    p->sends.push_back(Pending::Send{conn, conn->generation, shard->id});
+    if (schedule) {
+      net::at_pass_end([this, shard, &conn] { flush(shard, conn); });
+    }
     return true;
   }
   return false;
 }
 
-// ---------------------------------------------------------------------------
-// Upstream connections.
-
-void Router::start_shard(const std::shared_ptr<Shard>& shard) {
-  shard->retry_budget.configure(config_.shard_retry_budget_per_sec,
-                                config_.shard_retry_budget_burst);
-  for (int i = 0; i < config_.conns_per_shard; ++i) {
-    auto conn = std::make_unique<UpstreamConn>();
-    conn->index = i;
-    UpstreamConn* raw = conn.get();
-    shard->conns.push_back(std::move(conn));
-    raw->reader = std::thread([this, shard, raw] { conn_reader(shard, raw); });
-  }
-}
-
-void Router::stop_shard(const std::shared_ptr<Shard>& shard) {
-  for (auto& conn : shard->conns) {
-    conn->stop.store(true);
-    {
-      std::lock_guard<std::mutex> sl(conn->send_mu);
-      if (conn->client) ::shutdown(conn->client->fd(), SHUT_RDWR);
+void Router::flush(const std::shared_ptr<Shard>& shard, UpstreamConn& conn) {
+  std::uint64_t generation = 0;
+  {
+    std::lock_guard<std::mutex> cl(conn.mu);
+    conn.flush_queued = false;
+    if (!conn.up || conn.writing) return;
+    if (!conn.send_queued()) {
+      // A broken socket takes no more lines; the hang-up wakes the loop,
+      // which tears the connection down and re-dispatches its requests.
+      conn.up = false;
+      ::shutdown(conn.sock.get(), SHUT_RDWR);
+      return;
     }
-    conn->wake_cv.notify_all();
+    if (conn.out.empty()) return;
+    conn.writing = true;  // the rest leaves from the loop, on EPOLLOUT
+    generation = conn.generation;
   }
-  for (auto& conn : shard->conns) {
-    if (conn->reader.joinable()) conn->reader.join();
+  // `shard` rides along to keep `conn` alive until the loop runs this.
+  post([this, shard, &conn, generation] { watch_stall(conn, generation); });
+}
+
+// ---------------------------------------------------------------------------
+// The upstream loop.
+
+bool Router::post(std::function<void()> fn) {
+  {
+    std::lock_guard<std::mutex> pl(post_mu_);
+    if (io_quit_) return false;
+    posted_.push_back(std::move(fn));
+  }
+  kick(wake_);
+  return true;
+}
+
+void Router::io_loop() {
+  epoll_event events[kMaxEvents];
+  std::vector<std::function<void()>> work;
+  while (true) {
+    const int n =
+        ::epoll_wait(epoll_.get(), events, kMaxEvents, next_wait_ms());
+    if (n < 0 && errno != EINTR) {
+      if (config_.log) config_.log("router upstream loop: epoll_wait failed");
+      return;
+    }
+    bool woke = false;
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.ptr == nullptr) {
+        std::uint64_t drained;
+        while (::read(wake_.get(), &drained, sizeof(drained)) > 0) {
+        }
+        woke = true;
+        continue;
+      }
+      on_conn_event(*static_cast<UpstreamConn*>(events[i].data.ptr),
+                    events[i].events);
+    }
+    // Posted work runs after the batch's socket events, so a detach cannot
+    // release a connection that a later event of the batch names.
+    if (woke) {
+      bool quit = false;
+      {
+        std::lock_guard<std::mutex> pl(post_mu_);
+        work.swap(posted_);
+        quit = io_quit_;
+      }
+      for (std::function<void()>& fn : work) fn();
+      work.clear();
+      if (quit) return;
+    }
+    on_deadlines();
   }
 }
 
-void Router::conn_reader(std::shared_ptr<Shard> shard, UpstreamConn* conn) {
-  std::chrono::milliseconds backoff = config_.reconnect_min;
-  while (!conn->stop.load()) {
-    std::shared_ptr<net::Client> client;
-    try {
-      net::ClientConfig cc;
-      cc.server = shard->addr;
-      cc.connect_timeout = config_.connect_timeout;
-      cc.send_timeout = config_.send_timeout;
-      client = std::make_shared<net::Client>(std::move(cc));
-    } catch (...) {
-      shard->connect_failures.fetch_add(1, std::memory_order_relaxed);
-      std::unique_lock<std::mutex> wl(conn->wake_mu);
-      conn->wake_cv.wait_for(wl, backoff, [&] { return conn->stop.load(); });
-      backoff = std::min(backoff * 2, config_.reconnect_max);
+void Router::attach(const std::shared_ptr<Shard>& shard) {
+  attached_.push_back(shard);
+  for (const auto& conn : shard->conns) begin_connect(*conn);
+}
+
+void Router::detach(const std::shared_ptr<Shard>& shard) {
+  attached_.erase(std::remove(attached_.begin(), attached_.end(), shard),
+                  attached_.end());
+  for (const auto& conn : shard->conns) teardown(*conn, /*reconnect=*/false);
+}
+
+void Router::begin_connect(UpstreamConn& conn) {
+  bool connected = false;
+  net::Fd fd;
+  try {
+    fd = net::start_connect(conn.shard->addr, &connected);
+  } catch (const std::exception&) {
+    connect_failed(conn);
+    return;
+  }
+  epoll_event ev{};
+  ev.events = EPOLLOUT;  // writable = connected (or failed)
+  ev.data.ptr = &conn;
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd.get(), &ev) != 0) {
+    connect_failed(conn);
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> cl(conn.mu);
+    conn.sock = std::move(fd);
+  }
+  conn.phase = UpstreamConn::Phase::kConnecting;
+  conn.deadline = config_.connect_timeout.count() > 0
+                      ? Clock::now() + config_.connect_timeout
+                      : Clock::time_point::max();
+  if (connected) on_conn_event(conn, EPOLLOUT);
+}
+
+void Router::on_conn_event(UpstreamConn& conn, std::uint32_t events) {
+  switch (conn.phase) {
+    case UpstreamConn::Phase::kIdle:
+      return;
+    case UpstreamConn::Phase::kConnecting: {
+      if ((events & (EPOLLERR | EPOLLHUP)) != 0 ||
+          net::socket_error(conn.sock.get()) != 0) {
+        connect_failed(conn);
+        return;
+      }
+      epoll_event ev{};
+      ev.events = EPOLLIN;
+      ev.data.ptr = &conn;
+      (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, conn.sock.get(), &ev);
+      {
+        std::lock_guard<std::mutex> cl(conn.mu);
+        conn.up = true;
+        ++conn.generation;
+      }
+      conn.phase = UpstreamConn::Phase::kConnected;
+      conn.deadline = Clock::time_point::max();
+      conn.backoff = config_.reconnect_min;
+      conn.shard->up_conns.fetch_add(1);
+      return;
+    }
+    case UpstreamConn::Phase::kConnected:
+      if ((events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0 &&
+          !read_responses(conn)) {
+        teardown(conn, /*reconnect=*/true);
+        return;
+      }
+      if ((events & EPOLLOUT) != 0 && !write_queued(conn)) {
+        teardown(conn, /*reconnect=*/true);
+      }
+      return;
+  }
+}
+
+void Router::connect_failed(UpstreamConn& conn) {
+  {
+    std::lock_guard<std::mutex> cl(conn.mu);
+    if (conn.sock.valid()) {
+      (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, conn.sock.get(), nullptr);
+      conn.sock.reset();
+    }
+  }
+  conn.shard->connect_failures.fetch_add(1, std::memory_order_relaxed);
+  conn.phase = UpstreamConn::Phase::kIdle;
+  conn.deadline = Clock::now() + conn.backoff;
+  conn.backoff = std::min(conn.backoff * 2, config_.reconnect_max);
+}
+
+bool Router::read_responses(UpstreamConn& conn) {
+  char buf[65536];
+  std::size_t got = 0;
+  bool open = true;
+  while (got < kReadBurstBytes) {
+    const ssize_t n = ::recv(conn.sock.get(), buf, sizeof(buf), 0);
+    if (n > 0) {
+      conn.rbuf.append(buf, static_cast<std::size_t>(n));
+      got += static_cast<std::size_t>(n);
       continue;
     }
-    std::uint64_t generation = 0;
-    {
-      std::lock_guard<std::mutex> sl(conn->send_mu);
-      conn->client = client;
-      generation = ++conn->generation;
-    }
-    shard->up_conns.fetch_add(1);
-    backoff = config_.reconnect_min;
-    // stop() may have raced the install: its shutdown() hit the previous
-    // (null) client, so re-check before blocking in recv.
-    if (conn->stop.load()) {
-      ::shutdown(client->fd(), SHUT_RDWR);
-    }
-    try {
-      while (auto line = client->recv_line()) {
-        on_upstream_line(shard, conn, generation, std::move(*line));
-      }
-    } catch (...) {
-      // recv error / oversized response: fall through to teardown.
-    }
-    {
-      std::lock_guard<std::mutex> sl(conn->send_mu);
-      if (conn->client == client) conn->client.reset();
-    }
-    shard->up_conns.fetch_sub(1);
-    if (config_.log) {
-      config_.log("shard " + shard->id + " conn#" +
-                  std::to_string(conn->index) + " down");
-    }
-    on_conn_down(shard, conn, generation);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    open = false;  // EOF or a socket error
+    break;
+  }
+  std::size_t pos = 0;
+  for (std::size_t nl; (nl = conn.rbuf.find('\n', pos)) != std::string::npos;
+       pos = nl + 1) {
+    std::string_view line(conn.rbuf.data() + pos, nl - pos);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    on_upstream_line(*conn.shard, line);
+  }
+  conn.rbuf.erase(0, pos);
+  if (!open && !conn.rbuf.empty()) {
+    // The peer closed right after an unterminated last line: still a line.
+    on_upstream_line(*conn.shard, conn.rbuf);
+    conn.rbuf.clear();
+  }
+  return open && conn.rbuf.size() <= kMaxResponseBytes;
+}
+
+bool Router::write_queued(UpstreamConn& conn) {
+  std::lock_guard<std::mutex> cl(conn.mu);
+  if (!conn.writing) return true;
+  const std::size_t before = conn.out.size() - conn.out_pos;
+  if (!conn.send_queued()) return false;
+  if (conn.out.empty()) {
+    conn.writing = false;
+    conn.deadline = Clock::time_point::max();
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.ptr = &conn;
+    (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, conn.sock.get(), &ev);
+  } else if (conn.out.size() - conn.out_pos < before &&
+             config_.send_timeout.count() > 0) {
+    conn.deadline = Clock::now() + config_.send_timeout;  // progress
+  }
+  return true;
+}
+
+void Router::watch_stall(UpstreamConn& conn, std::uint64_t generation) {
+  {
+    std::lock_guard<std::mutex> cl(conn.mu);
+    // Only this loop clears `writing` or moves the generation, so the
+    // check stays true below.
+    if (!conn.writing || conn.generation != generation) return;
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLOUT;
+  ev.data.ptr = &conn;
+  (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, conn.sock.get(), &ev);
+  if (config_.send_timeout.count() > 0) {
+    conn.deadline = Clock::now() + config_.send_timeout;
   }
 }
 
-void Router::on_upstream_line(const std::shared_ptr<Shard>& shard,
-                              UpstreamConn* conn, std::uint64_t generation,
-                              std::string&& line) {
-  (void)conn;
-  (void)generation;
-  svc::Fields fields;
+void Router::teardown(UpstreamConn& conn, bool reconnect) {
+  Shard& shard = *conn.shard;
+  const bool was_up = conn.phase == UpstreamConn::Phase::kConnected;
+  std::uint64_t generation = 0;
+  {
+    std::lock_guard<std::mutex> cl(conn.mu);
+    if (conn.sock.valid()) {
+      (void)::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, conn.sock.get(), nullptr);
+      conn.sock.reset();
+    }
+    conn.up = false;
+    conn.writing = false;
+    // Bytes still queued die with the socket.  Their requests are orphans
+    // below, like the sent ones, and never reach the next socket.
+    conn.out.clear();
+    conn.out_pos = 0;
+    generation = conn.generation;
+  }
+  conn.rbuf.clear();
+  conn.phase = UpstreamConn::Phase::kIdle;
+  conn.deadline = Clock::time_point::max();
+  if (was_up) {
+    shard.up_conns.fetch_sub(1);
+    if (config_.log) {
+      config_.log("shard " + shard.id + " conn#" +
+                  std::to_string(conn.index) + " down");
+    }
+    on_conn_down(shard, &conn, generation);
+  }
+  if (reconnect) begin_connect(conn);
+}
+
+void Router::on_deadlines() {
+  const Clock::time_point now = Clock::now();
+  for (const auto& shard : attached_) {
+    for (const auto& c : shard->conns) {
+      UpstreamConn& conn = *c;
+      if (now < conn.deadline) continue;
+      switch (conn.phase) {
+        case UpstreamConn::Phase::kIdle:  // backoff over: try again
+          begin_connect(conn);
+          break;
+        case UpstreamConn::Phase::kConnecting:  // the connect bound passed
+          connect_failed(conn);
+          break;
+        case UpstreamConn::Phase::kConnected:
+          // Queued bytes made no progress for send_timeout: the shard
+          // stopped reading.
+          if (config_.log) {
+            config_.log("shard " + shard->id + " conn#" +
+                        std::to_string(conn.index) + " stalled");
+          }
+          teardown(conn, /*reconnect=*/true);
+          break;
+      }
+    }
+  }
+}
+
+int Router::next_wait_ms() const {
+  Clock::time_point next = Clock::time_point::max();
+  for (const auto& shard : attached_) {
+    for (const auto& conn : shard->conns) next = std::min(next, conn->deadline);
+  }
+  if (next == Clock::time_point::max()) return -1;
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(next - Clock::now());
+  return static_cast<int>(std::clamp<std::int64_t>(left.count(), 0, 60'000));
+}
+
+void Router::on_upstream_line(Shard& shard, std::string_view line) {
+  // One scan reads the three fields the router acts on.  It accepts and
+  // rejects exactly the lines parse_flat_json does; a rejected line is
+  // dropped and counted.  A later duplicate key wins, as there.
+  std::string_view id;
+  std::string_view status;
+  std::string_view hint;
+  bool hint_quoted = false;
   try {
-    fields = svc::parse_flat_json(line);
-  } catch (...) {
+    svc::FlatJsonScanner scan(line);
+    svc::FlatJsonScanner::Member m;
+    while (scan.next(&m)) {
+      if (m.key == "id") {
+        id = m.value;
+      } else if (m.key == "status") {
+        status = m.value;
+      } else if (m.key == "retry_after_ms") {
+        hint = m.value;
+        hint_quoted = m.quoted;
+      }
+    }
+  } catch (const std::invalid_argument&) {
     late_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   // A retryable envelope with a retry_after_ms hint opens the shard's soft
   // backoff window -- whoever wins the pending race, the hint is real.
-  const auto status_it = fields.find("status");
-  if (status_it != fields.end() &&
-      (status_it->second == "overloaded" ||
-       status_it->second == "resource_exhausted")) {
-    const std::int64_t hint = int_or(fields, "retry_after_ms", 0);
-    if (hint > 0) {
+  if (status == "overloaded" || status == "resource_exhausted") {
+    const std::int64_t ms = int_or(
+        hint_quoted ? svc::unescape_json(hint) : std::string(hint), 0);
+    if (ms > 0) {
       const std::int64_t until =
           std::chrono::duration_cast<std::chrono::microseconds>(
               Clock::now().time_since_epoch())
               .count() +
-          hint * 1000;
-      shard->backoff_until_us.store(until, std::memory_order_relaxed);
+          ms * 1000;
+      shard.backoff_until_us.store(until, std::memory_order_relaxed);
     }
   }
-  const auto id_it = fields.find("id");
-  std::uint64_t seq = 0;
-  if (id_it != fields.end() && id_it->second.size() > 1 &&
-      id_it->second[0] == 'r') {
-    seq = std::strtoull(id_it->second.c_str() + 1, nullptr, 10);
-  }
-  auto p = take_pending(seq, Cause::kResponse);
+  auto p = take_pending(parse_seq(id), Cause::kResponse);
   if (!p) {
     // The hedge loser, a re-dispatched twin, or an id we never issued.
     late_drops_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  shard->answered.fetch_add(1, std::memory_order_relaxed);
-  resolve_response(p, std::move(line), shard->id);
+  shard.answered.fetch_add(1, std::memory_order_relaxed);
+  resolve_response(p, line, shard.id);
 }
 
-void Router::on_conn_down(const std::shared_ptr<Shard>& shard,
-                          UpstreamConn* conn, std::uint64_t generation) {
+void Router::on_conn_down(Shard& shard, const UpstreamConn* conn,
+                          std::uint64_t generation) {
   // Requests whose ONLY outstanding send rode this connection are orphans;
   // a hedged twin still in flight elsewhere keeps ownership instead.
   std::vector<std::shared_ptr<Pending>> orphans;
@@ -585,8 +936,8 @@ void Router::on_conn_down(const std::shared_ptr<Shard>& shard,
 }
 
 void Router::redispatch_orphans(
-    const std::vector<std::shared_ptr<Pending>>& orphans,
-    const std::shared_ptr<Shard>& shard, bool allow_fallback) {
+    const std::vector<std::shared_ptr<Pending>>& orphans, Shard& shard,
+    bool allow_fallback) {
   for (const auto& p : orphans) {
     bool exhausted = false;
     {
@@ -617,12 +968,12 @@ void Router::redispatch_orphans(
       }
       redispatches_.fetch_add(1, std::memory_order_relaxed);
       // The shard that just dropped us is suspect even while the rest of
-      // its pool still counts as up (a dying process tears its sockets
-      // down one reader at a time) -- prefer any other shard, and fall
-      // back to the suspect only when nothing else can take the key.
-      if (route_and_send(p, *wire, shard->id)) continue;
+      // its pool still counts as up (a dying process's sockets close one
+      // by one) -- prefer any other shard, and fall back to the suspect
+      // only when nothing else can take the key.
+      if (route_and_send(p, *wire, shard.id)) continue;
       if (allow_fallback &&
-          shard->up_conns.load(std::memory_order_relaxed) > 0 &&
+          shard.up_conns.load(std::memory_order_relaxed) > 0 &&
           route_and_send(p, *wire, "")) {
         continue;
       }
@@ -665,7 +1016,7 @@ std::shared_ptr<Router::Pending> Router::take_pending(std::uint64_t seq,
 }
 
 void Router::resolve_response(const std::shared_ptr<Pending>& p,
-                              std::string&& response,
+                              std::string_view response,
                               const std::string& shard_id) {
   {
     std::lock_guard<std::mutex> gl(p->mu);
@@ -673,11 +1024,11 @@ void Router::resolve_response(const std::shared_ptr<Pending>& p,
       hedge_wins_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  // The id splice: our "r<seq>" comes out, the client's own id (escaped
-  // again -- parse_flat_json unescaped it) goes back in.
-  std::string out = svc::strip_field(response, "id");
-  if (p->had_id) out = svc::with_id(out, svc::json_escape(p->client_id));
-  p->done(std::move(out));
+  // The id splice, in one pass: our "r<seq>" comes out, the client's own
+  // id (escaped again -- the request reader unescaped it) goes back in.
+  p->done(p->had_id
+              ? svc::replace_id(response, svc::json_escape(p->client_id))
+              : svc::strip_field(response, "id"));
 }
 
 void Router::resolve_error(const std::shared_ptr<Pending>& p,
@@ -727,23 +1078,24 @@ void Router::maintenance_thread() {
 
 void Router::hedge_one(const std::shared_ptr<Pending>& p) {
   if (p->resolved.load()) return;
-  std::set<std::string> exclude;
+  std::vector<std::string> exclude;
   {
     std::lock_guard<std::mutex> gl(p->mu);
-    exclude.insert(p->primary_shard);
-    for (const auto& send : p->sends) exclude.insert(send.shard);
+    exclude.push_back(p->primary_shard);
+    for (const auto& send : p->sends) exclude.push_back(send.shard);
   }
   std::shared_lock<std::shared_mutex> ml(membership_mu_);
   const Ring::Accept healthy = accept_predicate(true);
   const std::string id = ring_.pick(p->key, [&](const std::string& s) {
-    return exclude.count(s) == 0 && healthy(s);
+    return std::find(exclude.begin(), exclude.end(), s) == exclude.end() &&
+           healthy(s);
   });
   if (id.empty()) return;  // nobody to hedge to; the primary keeps the key
   const auto it = shards_.find(id);
   if (it == shards_.end()) return;
   // A hedge is a retry in disguise: it pays the same budget, and carries
   // the remaining (not original) client deadline.
-  if (!charge_retry(it->second)) return;
+  if (!charge_retry(*it->second)) return;
   const std::optional<std::string> wire = wire_now(p);
   if (!wire) return;  // out of budget; the router deadline clock fires soon
   if (send_on_shard(it->second, p, *wire)) {
@@ -822,10 +1174,10 @@ void Router::probe_shard(const std::shared_ptr<Shard>& shard) {
   }
   // Crossing into Down evicts the shard's unresolved sends NOW -- the
   // whole point of probing is beating pending_timeout to the bad news.
-  if (prev != 2 && next == 2) evict_shard_pendings(shard);
+  if (prev != 2 && next == 2) evict_shard_pendings(*shard);
 }
 
-void Router::evict_shard_pendings(const std::shared_ptr<Shard>& shard) {
+void Router::evict_shard_pendings(Shard& shard) {
   std::vector<std::shared_ptr<Pending>> orphans;
   {
     std::lock_guard<std::mutex> pl(pending_mu_);
@@ -833,7 +1185,7 @@ void Router::evict_shard_pendings(const std::shared_ptr<Shard>& shard) {
       std::lock_guard<std::mutex> gl(p->mu);
       bool touched = false;
       for (auto it = p->sends.begin(); it != p->sends.end();) {
-        if (it->shard == shard->id) {
+        if (it->shard == shard.id) {
           it = p->sends.erase(it);
           touched = true;
         } else {
@@ -847,8 +1199,8 @@ void Router::evict_shard_pendings(const std::shared_ptr<Shard>& shard) {
   redispatch_orphans(orphans, shard, /*allow_fallback=*/false);
 }
 
-bool Router::charge_retry(const std::shared_ptr<Shard>& shard) {
-  if (retry_budget_.try_take() && shard->retry_budget.try_take()) return true;
+bool Router::charge_retry(Shard& shard) {
+  if (retry_budget_.try_take() && shard.retry_budget.try_take()) return true;
   budget_exhausted_.fetch_add(1, std::memory_order_relaxed);
   return false;
 }
@@ -882,17 +1234,31 @@ std::uint64_t Router::jittered_retry_after() const {
 // ---------------------------------------------------------------------------
 // Membership.
 
-bool Router::add_shard(const ShardSpec& spec) {
+std::shared_ptr<Router::Shard> Router::make_shard(const ShardSpec& spec) {
   auto shard = std::make_shared<Shard>();
   shard->id = spec.id;
   shard->addr = spec.addr;
+  shard->retry_budget.configure(config_.shard_retry_budget_per_sec,
+                                config_.shard_retry_budget_burst);
+  for (int i = 0; i < config_.conns_per_shard; ++i) {
+    auto conn = std::make_unique<UpstreamConn>();
+    conn->shard = shard.get();
+    conn->index = i;
+    conn->backoff = config_.reconnect_min;
+    shard->conns.push_back(std::move(conn));
+  }
+  return shard;
+}
+
+bool Router::add_shard(const ShardSpec& spec) {
+  std::shared_ptr<Shard> shard = make_shard(spec);
   {
     std::unique_lock<std::shared_mutex> ml(membership_mu_);
     if (shards_.count(spec.id) != 0) return false;
     shards_.emplace(spec.id, shard);
     ring_.add(spec.id);
   }
-  start_shard(shard);
+  post([this, shard] { attach(shard); });
   if (config_.log) config_.log("shard " + spec.id + " added");
   return true;
 }
@@ -907,9 +1273,19 @@ bool Router::remove_shard(const std::string& id) {
     shards_.erase(it);
     ring_.remove(id);
   }
-  // Joins happen OUTSIDE the membership lock: the dying readers run
-  // on_conn_down -> route_and_send, which takes it shared.
-  stop_shard(shard);
+  // The loop closes the pool and re-dispatches what rode on it; waiting
+  // (outside the membership lock, which that re-dispatch takes shared)
+  // makes the removal complete on return.
+  if (started_flag_.load()) {
+    auto detached = std::make_shared<std::promise<void>>();
+    std::future<void> done = detached->get_future();
+    if (post([this, shard, detached] {
+          detach(shard);
+          detached->set_value();
+        })) {
+      done.wait();
+    }
+  }
   if (config_.log) config_.log("shard " + id + " removed");
   return true;
 }

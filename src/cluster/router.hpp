@@ -4,9 +4,20 @@
 // (net/server.hpp) it accepts the same JSONL v2 lines a single wfc_serve
 // does, but instead of executing queries locally it consistent-hashes each
 // query's canonical task fingerprint onto a ring of backend shards and
-// proxies the line over pooled net::Client connections.  Clients cannot
-// tell the difference: same envelopes, same "id" echo, same out-of-order
-// pipelined completion -- a cluster behind one address.
+// proxies the line over a pool of nonblocking connections per shard.
+// Clients cannot tell the difference: same envelopes, same "id" echo, same
+// out-of-order pipelined completion -- a cluster behind one address.
+//
+// Threading.  A front io thread only queues: each forwarded line is
+// appended to the outbound buffer of one pooled connection of its shard
+// (each thread keeps to its own connection of a pool), and the lines one
+// io-loop pass queued on a connection leave in one send when that pass
+// ends (net::at_pass_end).  No front thread ever blocks on a shard.  One
+// router-owned upstream loop thread reads every shard response, finishes
+// partial writes, connects and reconnects with backoff, and tears down a
+// connection whose queued bytes made no progress for send_timeout.
+// Hedges, re-dispatches and timeouts run on the maintenance thread, the
+// upstream loop and the probe thread, and send at once.
 //
 // Id splice.  Every forwarded request is re-stamped with a router-unique
 // id ("r<seq>"); the client's own id (or its absence) is remembered in the
@@ -81,7 +92,6 @@
 
 #include "cluster/ring.hpp"
 #include "net/backend.hpp"
-#include "net/client.hpp"
 #include "net/socket.hpp"
 #include "obs/obs.hpp"
 #include "service/jsonl.hpp"
@@ -98,7 +108,9 @@ struct RouterConfig {
   std::vector<ShardSpec> shards;
   /// Ring points per shard (ring.hpp).
   int vnodes = 64;
-  /// Pooled connections per shard; each owns a reader thread.
+  /// Pooled connections per shard, all driven by the one upstream loop.
+  /// Each front io thread sends on its own connection of a pool (threads
+  /// beyond the pool size share).
   int conns_per_shard = 2;
   /// Request-line bound mirrored to the front server (LineBackend API).
   std::size_t max_line_bytes = 1u << 20;
@@ -107,8 +119,9 @@ struct RouterConfig {
   std::size_t max_pending = 64 * 1024;
   /// Upstream connect bound (also the breaker probe bound).
   std::chrono::milliseconds connect_timeout{1'000};
-  /// Upstream send bound: a shard that stops draining its socket fails the
-  /// send instead of wedging a front io thread.
+  /// Upstream stall bound: a connection whose queued bytes make no
+  /// progress for this long (a shard that stopped reading) is torn down
+  /// and its requests re-dispatched.  Sends never block.
   std::chrono::milliseconds send_timeout{2'000};
   /// Reconnect backoff for down shards, doubling between these bounds.
   std::chrono::milliseconds reconnect_min{50};
@@ -210,12 +223,14 @@ class Router : public net::LineBackend {
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
-  /// Spawns the upstream connection pools and the maintenance thread.
-  /// Shards that are down just stay in reconnect backoff -- the router
-  /// comes up regardless.
+  /// Starts connecting every pool (a connection counts as up as soon as
+  /// its connect completes) and spawns the upstream loop and the
+  /// maintenance thread.  Shards that are down just stay in reconnect
+  /// backoff -- the router comes up regardless.
   void start();
-  /// Stops maintenance and every upstream connection; unresolved pendings
-  /// resolve overloaded so no Done callback is leaked.  Idempotent.
+  /// Stops maintenance, the upstream loop and every upstream connection;
+  /// unresolved pendings resolve overloaded so no Done callback is leaked.
+  /// Idempotent.
   void stop();
 
   // -- net::LineBackend -------------------------------------------------
@@ -271,20 +286,45 @@ class Router : public net::LineBackend {
   // Submit path.
   Outcome submit(const svc::Fields& fields, std::string_view line,
                  int line_no, Done done);
-  /// Sends `wire` for `p` to the ring target (or `exclude`d fallback).
-  /// Records the attempt; false when no shard accepted the send.
+  /// Queues `wire` for `p` to the ring target (or `exclude`d fallback).
+  /// Records the attempt; false when no shard accepted the line.
   bool route_and_send(const std::shared_ptr<Pending>& p,
                       const std::string& wire, const std::string& exclude);
+  /// Queues `wire` on the calling thread's connection of `shard` (another
+  /// one when that is down) and makes sure a flush follows.
   bool send_on_shard(const std::shared_ptr<Shard>& shard,
                      const std::shared_ptr<Pending>& p,
                      const std::string& wire);
+  /// Sends what is queued on `conn`; run at the end of the io-loop pass
+  /// that queued it, or at once off the io loops.
+  void flush(const std::shared_ptr<Shard>& shard, UpstreamConn& conn);
+
+  /// Runs `fn` on the upstream loop; false once the loop is shutting down.
+  bool post(std::function<void()> fn);
+  // The upstream loop's thread, and what runs on it.
+  void io_loop();
+  void attach(const std::shared_ptr<Shard>& shard);
+  /// Closes `shard`'s pool for good, re-dispatching what rode on it.
+  void detach(const std::shared_ptr<Shard>& shard);
+  void begin_connect(UpstreamConn& conn);
+  void on_conn_event(UpstreamConn& conn, std::uint32_t events);
+  void connect_failed(UpstreamConn& conn);
+  /// Reads and answers every complete response line; false at EOF or on
+  /// a socket error.
+  bool read_responses(UpstreamConn& conn);
+  /// Sends queued bytes the socket now takes; false on a socket error.
+  bool write_queued(UpstreamConn& conn);
+  void watch_stall(UpstreamConn& conn, std::uint64_t generation);
+  /// Closes the socket, drops the bytes still queued on it and
+  /// re-dispatches its orphans; reconnects at once unless `reconnect` is
+  /// false.
+  void teardown(UpstreamConn& conn, bool reconnect);
+  void on_deadlines();
+  [[nodiscard]] int next_wait_ms() const;
 
   // Upstream path.
-  void conn_reader(std::shared_ptr<Shard> shard, UpstreamConn* conn);
-  void on_upstream_line(const std::shared_ptr<Shard>& shard,
-                        UpstreamConn* conn, std::uint64_t generation,
-                        std::string&& line);
-  void on_conn_down(const std::shared_ptr<Shard>& shard, UpstreamConn* conn,
+  void on_upstream_line(Shard& shard, std::string_view line);
+  void on_conn_down(Shard& shard, const UpstreamConn* conn,
                     std::uint64_t generation);
 
   // Resolution.  Exactly-once: take_pending atomically removes the entry
@@ -293,7 +333,7 @@ class Router : public net::LineBackend {
   enum class Cause { kResponse, kTimeout, kFailed };
   std::shared_ptr<Pending> take_pending(std::uint64_t seq, Cause cause);
   void resolve_response(const std::shared_ptr<Pending>& p,
-                        std::string&& response, const std::string& shard_id);
+                        std::string_view response, const std::string& shard_id);
   void resolve_error(const std::shared_ptr<Pending>& p, svc::Status status,
                      const std::string& message, bool retryable);
 
@@ -306,24 +346,23 @@ class Router : public net::LineBackend {
   void probe_shard(const std::shared_ptr<Shard>& shard);
   /// Pulls every pending whose only outstanding sends were on `shard` and
   /// re-dispatches them elsewhere (probe-driven eviction).
-  void evict_shard_pendings(const std::shared_ptr<Shard>& shard);
+  void evict_shard_pendings(Shard& shard);
   /// Budget-gated re-dispatch of orphaned pendings; `allow_fallback`
   /// permits falling back to `shard` itself when nothing else accepts.
   void redispatch_orphans(
-      const std::vector<std::shared_ptr<Pending>>& orphans,
-      const std::shared_ptr<Shard>& shard, bool allow_fallback);
+      const std::vector<std::shared_ptr<Pending>>& orphans, Shard& shard,
+      bool allow_fallback);
   /// The wire line for `p` with timeout_ms rewritten to the remaining
   /// client budget; nullopt when that budget is already spent.
   [[nodiscard]] std::optional<std::string> wire_now(
       const std::shared_ptr<Pending>& p) const;
   /// Charges one retry against the global and `shard` buckets; on refusal
   /// counts budget_exhausted and returns false.
-  bool charge_retry(const std::shared_ptr<Shard>& shard);
+  bool charge_retry(Shard& shard);
   [[nodiscard]] std::uint64_t jittered_retry_after() const;
 
   // Membership helpers.
-  void start_shard(const std::shared_ptr<Shard>& shard);
-  void stop_shard(const std::shared_ptr<Shard>& shard);
+  [[nodiscard]] std::shared_ptr<Shard> make_shard(const ShardSpec& spec);
   [[nodiscard]] Ring::Accept accept_predicate(bool skip_backoff) const;
 
   // Control-plane renderings.
@@ -343,23 +382,36 @@ class Router : public net::LineBackend {
   std::chrono::steady_clock::time_point started_;
 
   // Membership: guarded by membership_mu_ (lookups shared, changes
-  // exclusive).  Never held while joining reader threads.
+  // exclusive).  Never held while waiting for the upstream loop.
   mutable std::shared_mutex membership_mu_;
   std::unordered_map<std::string, std::shared_ptr<Shard>> shards_;
   Ring ring_;
 
-  // Pending table: seq -> entry.  Rule: membership_mu_ / send locks are
-  // never acquired while holding pending_mu_.
+  // Pending table: seq -> entry.  Rule: membership_mu_ / connection locks
+  // are never acquired while holding pending_mu_.
   mutable std::mutex pending_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Pending>> pending_;
   std::atomic<std::uint64_t> seq_{0};
 
   std::atomic<bool> started_flag_{false};
   std::atomic<bool> stopping_{false};
-  std::thread maintenance_;
-  std::thread prober_;
   std::condition_variable stop_cv_;
   std::mutex stop_mu_;
+
+  // The upstream loop: an epoll set over every pooled socket plus an
+  // eventfd that wakes it for posted work.
+  net::Fd epoll_;
+  net::Fd wake_;
+  std::mutex post_mu_;
+  std::vector<std::function<void()>> posted_;  // guarded by post_mu_
+  bool io_quit_ = false;                        // guarded by post_mu_
+  /// The shards whose pools the loop drives (loop thread only; stop()
+  /// takes them over once the loop has exited).
+  std::vector<std::shared_ptr<Shard>> attached_;
+
+  std::thread io_;
+  std::thread maintenance_;
+  std::thread prober_;
 
   // Retry budgets + rejection-hint jitter lane.
   TokenBucket retry_budget_;

@@ -385,14 +385,20 @@ bool ChaosProxy::pump_write(Link& link, Pipe& pipe, Clock::time_point now) {
   } else {
     pipe.bw_next = Clock::time_point{};
   }
+  auto& counter = pipe.to_upstream ? link.bytes_up : link.bytes_down;
   std::size_t written_total = 0;
   while (!pipe.queue.empty() && written_total < allowance) {
     Pipe::Chunk& front = pipe.queue.front();
     if (front.release > now) break;
     const std::size_t want = std::min(front.data.size() - pipe.write_off,
                                       allowance - written_total);
+    // Counted before the send and corrected after it, so a peer that
+    // already holds the bytes never reads a count without them.
+    counter.fetch_add(want, std::memory_order_relaxed);
     const ssize_t n = ::send(pipe.dst, front.data.data() + pipe.write_off,
                              want, MSG_NOSIGNAL | MSG_DONTWAIT);
+    const std::size_t sent = n > 0 ? static_cast<std::size_t>(n) : 0;
+    if (sent < want) counter.fetch_sub(want - sent, std::memory_order_relaxed);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) break;
       return false;  // peer reset / gone
@@ -415,10 +421,6 @@ bool ChaosProxy::pump_write(Link& link, Pipe& pipe, Clock::time_point now) {
                              (1.0 - pipe.bw_tokens) * 1e6 / rate) +
                          1);
     }
-  }
-  if (written_total > 0) {
-    auto& counter = pipe.to_upstream ? link.bytes_up : link.bytes_down;
-    counter.fetch_add(written_total, std::memory_order_relaxed);
   }
   // A blackholed direction is SILENT: no bytes, and no FIN either -- a
   // partition does not deliver the peer's close.

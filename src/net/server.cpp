@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -27,7 +28,20 @@ constexpr int kMaxEvents = 64;
 /// re-arms for the rest).
 constexpr std::size_t kReadBurstBytes = 1u << 20;
 
+/// The io loop this thread runs (identity only; null on any other thread)
+/// and the work its current pass deferred with at_pass_end.
+thread_local const void* tl_loop = nullptr;
+thread_local std::vector<std::function<void()>>* tl_pass_end = nullptr;
+
 }  // namespace
+
+void at_pass_end(std::function<void()> work) {
+  if (tl_pass_end != nullptr) {
+    tl_pass_end->push_back(std::move(work));
+  } else {
+    work();
+  }
+}
 
 /// The wire counters behind Server::Stats.  Connection-lifecycle counts are
 /// plain atomics (accept/close are rare); the per-line / per-byte hot
@@ -65,7 +79,19 @@ struct Server::Loop {
 
   std::mutex mu;
   std::vector<Fd> incoming;
+  /// Each connection at most once (Conn::listed).  The eventfd is written
+  /// only when the list turns non-empty, and never by the loop's own
+  /// thread: the loop reads the eventfd before it takes the list, so no
+  /// wake-up is lost.
   std::vector<std::weak_ptr<Conn>> dirty;
+
+  // Loop-thread only.
+  /// This loop's own thread listed a connection dirty (and kicked nobody):
+  /// the pass drains the list before it sleeps.
+  bool self_dirty = false;
+  std::vector<std::weak_ptr<Conn>> dirty_taken;  // the list being drained
+  std::vector<std::function<void()>> pass_end;   // at_pass_end's queue
+  std::vector<std::function<void()>> pass_end_running;
 
   void kick() const {
     const std::uint64_t one = 1;
@@ -104,6 +130,10 @@ struct Server::Conn {
 
   std::mutex mu;
   std::vector<std::string> outbox;  // rendered response lines, no '\n'
+  /// In the loop's dirty list; set by the completion that lists it, reset
+  /// by the loop before it takes the outbox.
+  std::atomic<bool> listed{false};
+  std::vector<std::string> taken;  // loop-thread: the outbox being moved
 
   [[nodiscard]] std::size_t unsent_bytes() const {
     return wbuf.size() - wpos;
@@ -237,6 +267,8 @@ void Server::loop_thread(const std::shared_ptr<Loop>& loop,
                          bool is_acceptor) {
   bool listener_retired = false;
   epoll_event events[kMaxEvents];
+  tl_loop = loop.get();
+  tl_pass_end = &loop->pass_end;
   while (!loop->stop.load(std::memory_order_relaxed)) {
     const bool draining = draining_.load(std::memory_order_acquire);
     if (draining && is_acceptor && !listener_retired) {
@@ -293,10 +325,9 @@ void Server::loop_thread(const std::shared_ptr<Loop>& loop,
     // same fd, which would otherwise let this batch's remaining events for
     // the dead connection dispatch to the new one.
     if (accept_ready) handle_accept(loop);
-    if (wake_fired) {
-      adopt_incoming(loop);
-      handle_dirty(loop);
-    }
+    if (wake_fired) adopt_incoming(loop);
+    if (wake_fired || loop->self_dirty) handle_dirty(loop);
+    finish_pass(loop);
     if (config_.idle_timeout.count() > 0) sweep_idle(loop);
     if (draining) {
       const bool past_deadline =
@@ -321,6 +352,8 @@ void Server::loop_thread(const std::shared_ptr<Loop>& loop,
   for (const std::shared_ptr<Conn>& conn : conns) {
     close_conn(loop, conn, /*forced=*/true);
   }
+  tl_loop = nullptr;
+  tl_pass_end = nullptr;
 }
 
 bool Server::drained(const Conn& conn) {
@@ -395,46 +428,73 @@ void Server::adopt_incoming(const std::shared_ptr<Loop>& loop) {
 }
 
 void Server::handle_dirty(const std::shared_ptr<Loop>& loop) {
-  std::vector<std::weak_ptr<Conn>> dirty;
+  loop->self_dirty = false;
+  std::vector<std::weak_ptr<Conn>>& dirty = loop->dirty_taken;
   {
     std::lock_guard<std::mutex> lock(loop->mu);
     dirty.swap(loop->dirty);
   }
   for (const std::weak_ptr<Conn>& weak : dirty) {
     std::shared_ptr<Conn> conn = weak.lock();
-    if (!conn || conn->closed) continue;
-    drain_conn(loop, conn);
+    if (!conn) continue;
+    // Unlisted before its outbox is taken: a completion after the take
+    // lists it again.
+    conn->listed.store(false);
+    if (!conn->closed) drain_conn(loop, conn);
   }
+  dirty.clear();
+}
+
+void Server::finish_pass(const std::shared_ptr<Loop>& loop) {
+  std::vector<std::function<void()>>& work = loop->pass_end_running;
+  while (loop->self_dirty || !loop->pass_end.empty()) {
+    if (loop->self_dirty) handle_dirty(loop);
+    work.swap(loop->pass_end);
+    for (std::function<void()>& fn : work) fn();
+    work.clear();
+  }
+}
+
+bool Server::take_outbox(Conn& conn) {
+  {
+    std::lock_guard<std::mutex> lock(conn.mu);
+    conn.taken.swap(conn.outbox);
+  }
+  for (const std::string& line : conn.taken) {
+    conn.wbuf += line;
+    conn.wbuf += '\n';
+    counters_->responses.inc();
+  }
+  conn.inflight -= conn.taken.size();
+  const bool any = !conn.taken.empty();
+  conn.taken.clear();
+  return any;
 }
 
 void Server::drain_conn(const std::shared_ptr<Loop>& loop,
                         const std::shared_ptr<Conn>& conn) {
-  std::vector<std::string> lines;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    lines.swap(conn->outbox);
-  }
-  for (std::string& line : lines) {
-    conn->wbuf += line;
-    conn->wbuf += '\n';
-    counters_->responses.inc();
-  }
-  conn->inflight -= lines.size();
-  bool queued = !lines.empty();
-  if (conn->pending_control && conn->inflight == 0) {
-    Conn::PendingControl control = std::move(*conn->pending_control);
-    conn->pending_control.reset();
-    conn->wbuf += backend_->control(control.line, control.line_no);
-    conn->wbuf += '\n';
-    counters_->responses.inc();
+  bool queued = take_outbox(*conn);
+  while (true) {
+    if (conn->pending_control && conn->inflight == 0) {
+      Conn::PendingControl control = std::move(*conn->pending_control);
+      conn->pending_control.reset();
+      conn->wbuf += backend_->control(control.line, control.line_no);
+      conn->wbuf += '\n';
+      counters_->responses.inc();
+      queued = true;
+    }
+    // Parsing may have paused on the inflight or write-buffer caps.
+    process_rbuf(loop, conn);
+    if (conn->closed) return;
+    // Responses completed inline while parsing -- memo hits, sheds -- join
+    // this pass's write; taking them may also lift the cap or the control
+    // gate that paused parsing.
+    if (!take_outbox(*conn)) break;
     queued = true;
   }
   // Queuing output counts as activity: the idle clock then measures the
   // CLIENT's failure to read these responses, not our own compute time.
   if (queued) conn->last_activity = std::chrono::steady_clock::now();
-  // Parsing may have paused on the inflight or write-buffer caps.
-  process_rbuf(loop, conn);
-  if (conn->closed) return;
   flush_writes(loop, conn);
   if (conn->closed) return;
   if (conn->read_closed && drained(*conn)) {
@@ -474,9 +534,8 @@ void Server::handle_readable(const std::shared_ptr<Loop>& loop,
   }
   if (eof) conn->read_closed = true;
   // drain_conn (rather than process_rbuf + flush) so responses that
-  // completed INLINE during parsing -- memo hits, error records, shed
-  // queries -- reach the write buffer in this same pass instead of waiting
-  // for their eventfd round-trip.
+  // completed INLINE during parsing -- memo hits, shed queries -- reach the
+  // write buffer in this same pass.
   drain_conn(loop, conn);
 }
 
@@ -554,9 +613,9 @@ void Server::handle_line(const std::shared_ptr<Loop>& /*loop*/,
       line, line_no,
       [weak = std::move(weak), owner = std::move(owner), start,
        rtt](std::string&& rendered) {
-        // Runs on a service worker, a router upstream-reader thread, or
-        // inline on the loop thread (memo hits / sheds): hand the line to
-        // the owning loop.  A connection that died first simply drops the
+        // Runs on a service worker, the router's upstream loop, or inline
+        // on this loop's thread (memo hits / sheds): hand the line to the
+        // owning loop.  A connection that died first simply drops the
         // response.
         if (rtt != nullptr) {
           rtt->observe(static_cast<std::uint64_t>(
@@ -570,11 +629,18 @@ void Server::handle_line(const std::shared_ptr<Loop>& /*loop*/,
           std::lock_guard<std::mutex> lock(c->mu);
           c->outbox.push_back(std::move(rendered));
         }
+        if (c->listed.exchange(true)) return;  // the loop has it already
+        bool first = false;
         {
           std::lock_guard<std::mutex> lock(owner->mu);
-          owner->dirty.push_back(c);
+          first = owner->dirty.empty();
+          owner->dirty.push_back(std::move(c));
         }
-        owner->kick();
+        if (tl_loop == owner.get()) {
+          owner->self_dirty = true;  // drained before this pass sleeps
+        } else if (first) {
+          owner->kick();
+        }
       });
   using Kind = LineBackend::Outcome::Kind;
   switch (outcome.kind) {

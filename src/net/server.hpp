@@ -17,8 +17,12 @@
 //   * All connection state except the outbox is touched ONLY by the owning
 //     loop thread.  Service workers deliver completed responses by pushing
 //     the rendered line into the connection's mutex-protected outbox and
-//     kicking the loop's eventfd; the loop moves outbox lines into the
-//     write buffer and flushes.
+//     listing the connection as dirty; the first listing of a batch kicks
+//     the loop's eventfd, and the loop moves outbox lines into the write
+//     buffer and flushes.  A response completed inline while its line is
+//     parsed (a memo hit, a shed) goes out in the same pass, with no kick.
+//   * A pass is one turn of a loop: the events of one epoll_wait, the
+//     dirty connections, and then the work at_pass_end() deferred.
 //
 // Backpressure, bounded everywhere:
 //   * per-connection inflight cap: parsing pauses (and EPOLLIN is
@@ -52,6 +56,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -62,6 +67,13 @@
 #include "service/handler.hpp"
 
 namespace wfc::net {
+
+/// Runs `work` when the calling thread's io-loop pass ends, after the
+/// pass has dispatched every event it got, so that what the pass queued
+/// leaves in one batch; on a thread that is not a Server io loop, runs it
+/// at once.  cluster::Router flushes its upstream connections this way.
+/// `work` must not throw.
+void at_pass_end(std::function<void()> work);
 
 struct ServerConfig {
   Endpoint listen;  // port 0 = ephemeral (read back via Server::port())
@@ -149,11 +161,16 @@ class Server {
   void adopt_incoming(const std::shared_ptr<Loop>& loop);
   void handle_dirty(const std::shared_ptr<Loop>& loop);
   /// Moves completed outbox lines into the write buffer, answers a gated
-  /// control op once inflight hits zero, resumes parsing, flushes, and
-  /// closes if fully drained.  The shared tail of the dirty and readable
-  /// paths.
+  /// control op once inflight hits zero, resumes parsing (taking what it
+  /// answered inline), flushes, and closes if fully drained.  The shared
+  /// tail of the dirty and readable paths.
   void drain_conn(const std::shared_ptr<Loop>& loop,
                   const std::shared_ptr<Conn>& conn);
+  /// Moves the outbox into the write buffer; false when it was empty.
+  bool take_outbox(Conn& conn);
+  /// The end of a pass: runs the deferred work and drains what this
+  /// loop's own thread listed dirty, until neither is left.
+  void finish_pass(const std::shared_ptr<Loop>& loop);
   void handle_readable(const std::shared_ptr<Loop>& loop,
                        const std::shared_ptr<Conn>& conn);
   void process_rbuf(const std::shared_ptr<Loop>& loop,

@@ -89,10 +89,10 @@ Fd listen_tcp(const Endpoint& ep, std::uint16_t* bound_port, int backlog) {
 }
 
 Fd connect_tcp(const Endpoint& ep, std::chrono::milliseconds timeout) {
-  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
-  if (!fd.valid()) throw_errno("socket");
-  sockaddr_in addr = make_addr(ep);
   if (timeout.count() <= 0) {
+    Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    if (!fd.valid()) throw_errno("socket");
+    sockaddr_in addr = make_addr(ep);
     int rc;
     do {
       rc = ::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
@@ -104,44 +104,53 @@ Fd connect_tcp(const Endpoint& ep, std::chrono::milliseconds timeout) {
   }
   // Bounded connect: nonblocking connect, poll for writability up to the
   // deadline, then read the outcome back with SO_ERROR.
-  set_nonblocking(fd.get(), true);
+  bool connected = false;
+  Fd fd = start_connect(ep, &connected);
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!connected) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) {
+      errno = ETIMEDOUT;
+      throw_errno("connect");
+    }
+    pollfd pfd{fd.get(), POLLOUT, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
+    if (ready < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("poll(connect)");
+    }
+    if (ready == 0) continue;  // re-check the deadline
+    if (const int err = socket_error(fd.get()); err != 0) {
+      errno = err;
+      throw_errno("connect");
+    }
+    connected = true;
+  }
+  set_nonblocking(fd.get(), false);
+  return fd;
+}
+
+Fd start_connect(const Endpoint& ep, bool* connected) {
+  Fd fd(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
+  if (!fd.valid()) throw_errno("socket");
+  sockaddr_in addr = make_addr(ep);
+  set_nodelay(fd.get());
   int rc;
   do {
     rc = ::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
                    sizeof(addr));
   } while (rc != 0 && errno == EINTR);
-  if (rc != 0) {
-    if (errno != EINPROGRESS) throw_errno("connect");
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    while (true) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      if (left.count() <= 0) {
-        errno = ETIMEDOUT;
-        throw_errno("connect");
-      }
-      pollfd pfd{fd.get(), POLLOUT, 0};
-      const int ready = ::poll(&pfd, 1, static_cast<int>(left.count()));
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        throw_errno("poll(connect)");
-      }
-      if (ready == 0) continue;  // re-check the deadline
-      int err = 0;
-      socklen_t len = sizeof(err);
-      if (::getsockopt(fd.get(), SOL_SOCKET, SO_ERROR, &err, &len) != 0) {
-        throw_errno("getsockopt(SO_ERROR)");
-      }
-      if (err != 0) {
-        errno = err;
-        throw_errno("connect");
-      }
-      break;
-    }
-  }
-  set_nonblocking(fd.get(), false);
-  set_nodelay(fd.get());
+  if (rc != 0 && errno != EINPROGRESS) throw_errno("connect");
+  *connected = rc == 0;
   return fd;
+}
+
+int socket_error(int fd) {
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) return errno;
+  return err;
 }
 
 void set_nonblocking(int fd, bool nonblocking) {

@@ -66,6 +66,16 @@ Fd connect_tcp(const Endpoint& ep,
                std::chrono::milliseconds timeout = std::chrono::milliseconds{
                    0});
 
+/// Starts a nonblocking connect to `ep` and returns the nonblocking,
+/// TCP_NODELAY socket.  *connected tells whether the connect already
+/// completed; otherwise it completes when the socket turns writable, and
+/// socket_error() then tells how.  Throws std::system_error (or
+/// std::invalid_argument for a bad address) when it fails at once.
+Fd start_connect(const Endpoint& ep, bool* connected);
+
+/// SO_ERROR of `fd`: 0, or the errno its pending connect failed with.
+int socket_error(int fd);
+
 /// fcntl(O_NONBLOCK) toggle.  Throws std::system_error.
 void set_nonblocking(int fd, bool nonblocking);
 

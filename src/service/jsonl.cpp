@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 
 namespace wfc::svc {
@@ -17,41 +18,43 @@ void skip_ws(std::string_view s, std::size_t& i) {
   while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
 }
 
-std::string parse_string(std::string_view line, std::size_t& i) {
-  // line[i] == '"' on entry.
-  ++i;
-  std::string out;
-  while (i < line.size() && line[i] != '"') {
-    char c = line[i++];
-    if (c == '\\') {
-      if (i >= line.size()) bad(line, "dangling escape");
-      const char esc = line[i++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        default: bad(line, "unsupported escape");
-      }
-    } else {
-      out.push_back(c);
+/// The raw text of the string at line[i] == '"' (quotes excluded, escapes
+/// kept but checked); leaves i past the closing quote.  Runs of plain text
+/// are skipped with memchr: long values cost a copy, not a loop per byte.
+std::string_view scan_string(std::string_view line, std::size_t& i) {
+  const char* const data = line.data();
+  const std::size_t start = ++i;
+  std::size_t quote = line.find('"', i);
+  while (true) {
+    // The first escape before the closing quote candidate, if any.
+    const std::size_t limit = quote == std::string_view::npos ? line.size()
+                                                              : quote;
+    const void* esc = std::memchr(data + i, '\\', limit - i);
+    if (esc == nullptr) {
+      if (quote == std::string_view::npos) bad(line, "unterminated string");
+      i = quote + 1;
+      return line.substr(start, quote - start);
+    }
+    i = static_cast<std::size_t>(static_cast<const char*>(esc) - data) + 1;
+    if (i >= line.size()) bad(line, "dangling escape");
+    switch (line[i++]) {
+      case '"': case '\\': case '/': case 'n': case 't': case 'r': break;
+      default: bad(line, "unsupported escape");
+    }
+    if (quote != std::string_view::npos && quote < i) {
+      quote = line.find('"', i);  // that quote was escaped
     }
   }
-  if (i >= line.size()) bad(line, "unterminated string");
-  ++i;  // closing quote
-  return out;
 }
 
-std::string parse_scalar(std::string_view line, std::size_t& i) {
+std::string_view scan_scalar(std::string_view line, std::size_t& i) {
   // Number / true / false / null, ended by ',' '}' or whitespace.
   const std::size_t start = i;
   while (i < line.size() && line[i] != ',' && line[i] != '}' &&
          !std::isspace(static_cast<unsigned char>(line[i]))) {
     ++i;
   }
-  std::string tok(line.substr(start, i - start));
+  const std::string_view tok = line.substr(start, i - start);
   if (tok.empty()) bad(line, "empty value");
   if (tok == "true" || tok == "false" || tok == "null") return tok;
   // Validate as a JSON number (integers and simple decimals suffice here).
@@ -75,45 +78,135 @@ std::string parse_scalar(std::string_view line, std::size_t& i) {
   return tok;
 }
 
+/// The bytes [from, to) strip_field removes for a top-level `key` member:
+/// the member and exactly one separating comma.  from == npos: no such
+/// member.
+struct Cut {
+  std::size_t from = std::string_view::npos;
+  std::size_t to = std::string_view::npos;
+};
+
+Cut find_member(std::string_view line, std::string_view key) {
+  std::string needle;  // short keys stay in the small-string buffer
+  needle.reserve(key.size() + 2);
+  needle += '"';
+  needle += key;
+  needle += '"';
+  const auto space = [&line](std::size_t k) {
+    return std::isspace(static_cast<unsigned char>(line[k])) != 0;
+  };
+  std::size_t pos = 0;
+  while ((pos = line.find(needle, pos)) != std::string_view::npos) {
+    // A top-level key is preceded (modulo whitespace) by '{' or ','.
+    std::size_t before = pos;
+    while (before > 0 && space(before - 1)) --before;
+    const bool key_position =
+        before > 0 && (line[before - 1] == '{' || line[before - 1] == ',');
+    std::size_t after = pos + needle.size();
+    while (after < line.size() && space(after)) ++after;
+    if (!key_position || after >= line.size() || line[after] != ':') {
+      pos += needle.size();  // matched inside a value; keep looking
+      continue;
+    }
+    ++after;  // past ':'
+    while (after < line.size() && space(after)) ++after;
+    if (after < line.size() && line[after] == '"') {
+      ++after;
+      while (after < line.size() && line[after] != '"') {
+        after += line[after] == '\\' ? 2 : 1;
+      }
+      if (after < line.size()) ++after;  // past the closing quote
+    } else {
+      while (after < line.size() && line[after] != ',' &&
+             line[after] != '}') {
+        ++after;
+      }
+    }
+    // Absorb exactly one separating comma (trailing preferred).
+    Cut cut{pos, after};
+    while (cut.to < line.size() && space(cut.to)) ++cut.to;
+    if (cut.to < line.size() && line[cut.to] == ',') {
+      ++cut.to;
+    } else if (line[before - 1] == ',') {
+      cut.from = before - 1;
+    }
+    return cut;
+  }
+  return {};
+}
+
 }  // namespace
 
-Fields parse_flat_json(std::string_view line) {
-  Fields out;
-  std::size_t i = 0;
-  skip_ws(line, i);
-  if (i >= line.size() || line[i] != '{') bad(line, "expected '{'");
-  ++i;
-  skip_ws(line, i);
-  if (i < line.size() && line[i] == '}') {
+bool FlatJsonScanner::next(Member* member) {
+  const std::string_view line = line_;
+  std::size_t& i = pos_;
+  if (closed_) return false;
+  if (!opened_) {
+    skip_ws(line, i);
+    if (i >= line.size() || line[i] != '{') bad(line, "expected '{'");
     ++i;
-  } else {
-    for (;;) {
-      skip_ws(line, i);
-      if (i >= line.size() || line[i] != '"') bad(line, "expected key");
-      std::string key = parse_string(line, i);
-      skip_ws(line, i);
-      if (i >= line.size() || line[i] != ':') bad(line, "expected ':'");
+    opened_ = true;
+    skip_ws(line, i);
+    if (i < line.size() && line[i] == '}') {
       ++i;
       skip_ws(line, i);
-      if (i >= line.size()) bad(line, "missing value");
-      std::string value = line[i] == '"' ? parse_string(line, i)
-                                         : parse_scalar(line, i);
-      out[std::move(key)] = std::move(value);
-      skip_ws(line, i);
-      if (i >= line.size()) bad(line, "unterminated object");
-      if (line[i] == ',') {
-        ++i;
-        continue;
-      }
-      if (line[i] == '}') {
-        ++i;
-        break;
-      }
-      bad(line, "expected ',' or '}'");
+      if (i != line.size()) bad(line, "trailing garbage");
+      closed_ = true;
+      return false;
     }
   }
   skip_ws(line, i);
+  if (i >= line.size() || line[i] != '"') bad(line, "expected key");
+  member->key = scan_string(line, i);
+  skip_ws(line, i);
+  if (i >= line.size() || line[i] != ':') bad(line, "expected ':'");
+  ++i;
+  skip_ws(line, i);
+  if (i >= line.size()) bad(line, "missing value");
+  member->quoted = line[i] == '"';
+  member->value =
+      member->quoted ? scan_string(line, i) : scan_scalar(line, i);
+  skip_ws(line, i);
+  if (i >= line.size()) bad(line, "unterminated object");
+  if (line[i] == ',') {
+    ++i;
+    return true;
+  }
+  if (line[i] != '}') bad(line, "expected ',' or '}'");
+  ++i;
+  skip_ws(line, i);
   if (i != line.size()) bad(line, "trailing garbage");
+  closed_ = true;
+  return true;
+}
+
+std::string unescape_json(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  std::size_t from = 0;
+  for (std::size_t esc; (esc = raw.find('\\', from)) != std::string_view::npos &&
+                        esc + 1 < raw.size();
+       from = esc + 2) {
+    out.append(raw.substr(from, esc - from));
+    switch (raw[esc + 1]) {
+      case 'n': out.push_back('\n'); break;
+      case 't': out.push_back('\t'); break;
+      case 'r': out.push_back('\r'); break;
+      default: out.push_back(raw[esc + 1]);  // '"', '\\' or '/'
+    }
+  }
+  out.append(raw.substr(from));
+  return out;
+}
+
+Fields parse_flat_json(std::string_view line) {
+  Fields out;
+  FlatJsonScanner scan(line);
+  FlatJsonScanner::Member m;
+  while (scan.next(&m)) {
+    out[unescape_json(m.key)] =
+        m.quoted ? unescape_json(m.value) : std::string(m.value);
+  }
   return out;
 }
 
@@ -165,62 +258,14 @@ bool is_control_op(std::string_view op) {
          op == "store";
 }
 
-std::string strip_field(const std::string& line, std::string_view key) {
-  std::string needle;
-  needle.reserve(key.size() + 2);
-  needle += '"';
-  needle += key;
-  needle += '"';
-  std::size_t pos = 0;
-  while ((pos = line.find(needle, pos)) != std::string::npos) {
-    // A top-level key is preceded (modulo whitespace) by '{' or ','.
-    std::size_t before = pos;
-    while (before > 0 && std::isspace(static_cast<unsigned char>(
-                             line[before - 1]))) {
-      --before;
-    }
-    const bool key_position =
-        before > 0 && (line[before - 1] == '{' || line[before - 1] == ',');
-    std::size_t after = pos + needle.size();
-    while (after < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[after]))) {
-      ++after;
-    }
-    if (!key_position || after >= line.size() || line[after] != ':') {
-      pos += needle.size();  // matched inside a value; keep looking
-      continue;
-    }
-    ++after;  // past ':'
-    while (after < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[after]))) {
-      ++after;
-    }
-    if (after < line.size() && line[after] == '"') {
-      ++after;
-      while (after < line.size() && line[after] != '"') {
-        after += line[after] == '\\' ? 2 : 1;
-      }
-      if (after < line.size()) ++after;  // past the closing quote
-    } else {
-      while (after < line.size() && line[after] != ',' &&
-             line[after] != '}') {
-        ++after;
-      }
-    }
-    // Absorb exactly one separating comma (trailing preferred).
-    std::size_t cut_from = pos;
-    while (after < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[after]))) {
-      ++after;
-    }
-    if (after < line.size() && line[after] == ',') {
-      ++after;
-    } else if (line[before - 1] == ',') {
-      cut_from = before - 1;
-    }
-    return line.substr(0, cut_from) + line.substr(after);
-  }
-  return line;
+std::string strip_field(std::string_view line, std::string_view key) {
+  const Cut cut = find_member(line, key);
+  if (cut.from == std::string_view::npos) return std::string(line);
+  std::string out;
+  out.reserve(line.size() - (cut.to - cut.from));
+  out.append(line.substr(0, cut.from));
+  out.append(line.substr(cut.to));
+  return out;
 }
 
 std::string with_field(const std::string& stripped, std::string_view key,
@@ -241,6 +286,33 @@ std::string with_field(const std::string& stripped, std::string_view key,
   out += '"';
   if (!empty_object) out += ',';
   out.append(stripped.data() + 1, stripped.size() - 1);
+  return out;
+}
+
+std::string replace_id(std::string_view line, std::string_view id) {
+  // The stripped line is head + tail; with_field's rules apply to it.
+  const Cut cut = find_member(line, "id");
+  const bool found = cut.from != std::string_view::npos;
+  const std::string_view head = found ? line.substr(0, cut.from) : line;
+  const std::string_view tail =
+      found ? line.substr(cut.to) : std::string_view();
+  const auto at = [&head, &tail](std::size_t k) {
+    return k < head.size() ? head[k] : tail[k - head.size()];
+  };
+  const std::size_t size = head.size() + tail.size();
+  std::size_t body = 1;
+  while (body < size && std::isspace(static_cast<unsigned char>(at(body)))) {
+    ++body;
+  }
+  const bool empty_object = body < size && at(body) == '}';
+  std::string out;
+  out.reserve(size + id.size() + 8);
+  out += "{\"id\":\"";
+  out += id;
+  out += '"';
+  if (!empty_object) out += ',';
+  out.append(head.substr(1));
+  out.append(tail);
   return out;
 }
 

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -30,6 +31,36 @@ using Fields = std::map<std::string, std::string>;
 /// Values are returned as raw text (strings unescaped, numbers/booleans
 /// verbatim).  Throws std::invalid_argument on anything else.
 Fields parse_flat_json(std::string_view line);
+
+/// Walks one flat JSON object member by member with the grammar, checks
+/// and error messages of parse_flat_json (which is built on it), copying
+/// nothing: each key and value is a view of its raw text, strings without
+/// their quotes and with their escapes in place.  A key or string value
+/// without a backslash reads as itself; unescape_json resolves the rest.
+class FlatJsonScanner {
+ public:
+  struct Member {
+    std::string_view key;
+    std::string_view value;
+    bool quoted = false;  // the value was a JSON string
+  };
+
+  explicit FlatJsonScanner(std::string_view line) : line_(line) {}
+
+  /// Reads the next member into *member; false once the object has closed
+  /// (and nothing but whitespace follows it).  Throws
+  /// std::invalid_argument where parse_flat_json does.
+  bool next(Member* member);
+
+ private:
+  std::string_view line_;
+  std::size_t pos_ = 0;
+  bool opened_ = false;
+  bool closed_ = false;
+};
+
+/// The text a raw key or string value from FlatJsonScanner stands for.
+std::string unescape_json(std::string_view raw);
 
 /// One input line as read_request saw it.
 struct RequestLine {
@@ -76,19 +107,22 @@ inline constexpr std::array<std::string_view, 5> kNonTaskFields = {
 
 /// Removes a top-level `key` field from a flat JSON line (no-op without
 /// one); the key's text inside a value is left alone.
-std::string strip_field(const std::string& line, std::string_view key);
+std::string strip_field(std::string_view line, std::string_view key);
 
 /// Inserts "key":"value" (value verbatim -- the caller escapes if needed)
 /// as the first field of a flat JSON line that has no `key` field.
 std::string with_field(const std::string& stripped, std::string_view key,
                        std::string_view value);
 
-/// with_field(stripped, "id", id): the router's id splice and the load
-/// generator's id stamp.
+/// with_field(stripped, "id", id): the load generator's id stamp.
 inline std::string with_id(const std::string& stripped,
                            std::string_view id) {
   return with_field(stripped, "id", id);
 }
+
+/// with_id(strip_field(line, "id"), id), built in one pass: the router's id
+/// splice, both ways.  `line` is a flat object that starts with '{'.
+std::string replace_id(std::string_view line, std::string_view id);
 
 /// JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);

@@ -1,12 +1,15 @@
 // Tests for wfc::cluster: ring determinism / balance / minimal key
 // movement, fingerprint routing stickiness through a live router, the id
-// splice on pipelined out-of-order batches, hedging to the ring successor
-// past a silent shard, breaker recovery after a shard restart, drain and
-// remove semantics, conn-death re-dispatch (exactly-once across a shard
-// kill), and the router-side control plane (info / cluster_stats /
-// metrics reconciliation / trace rejection).
+// splice on pipelined out-of-order batches and its exact bytes both ways,
+// hedging to the ring successor past a silent shard, breaker recovery
+// after a shard restart, drain and remove semantics, conn-death
+// re-dispatch (exactly-once across a shard kill), a wedged shard that
+// stalls no other client, and the router-side control plane (info /
+// cluster_stats / metrics reconciliation / trace rejection).
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -14,8 +17,10 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -107,6 +112,114 @@ struct BlackHole {
   std::thread thread;
   std::atomic<bool> stop{false};
 };
+
+/// A BlackHole whose connections advertise a tiny window (small receive
+/// buffer and segment size), so well under a hundred KB fill a connection
+/// to it: the wedged shard, without megabytes of traffic.
+struct WedgedShard : BlackHole {
+  WedgedShard() {
+    const int rcvbuf = 4096;
+    const int mss = 536;
+    (void)::setsockopt(listener.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                       sizeof(rcvbuf));
+    (void)::setsockopt(listener.get(), IPPROTO_TCP, TCP_MAXSEG, &mss,
+                       sizeof(mss));
+  }
+};
+
+/// A shard that records every line it receives and answers from a script:
+/// the request's "shape" picks where the router's id sits in the response
+/// and what surrounds it.  "malformed-<k>" answers a line parse_flat_json
+/// rejects, then the "first" response on a second line.
+struct ScriptedShard : net::LineBackend {
+  static std::string respond(const std::string& shape, const std::string& id) {
+    if (shape == "middle") {
+      return R"({"status":"ok","id":")" + id + R"(","verdict":"SOLVABLE"})";
+    }
+    if (shape == "last") {
+      return R"({"status":"ok","verdict":"SOLVABLE","id":")" + id + "\"}";
+    }
+    if (shape == "spaced") {
+      return R"({ "status" : "ok" ,  "id" : ")" + id + R"(" , "level" : 2 })";
+    }
+    if (shape == "decoy") {
+      return R"({"note":"say \"id\":\"r0\", twice","id":")" + id +
+             R"(","status":"ok"})";
+    }
+    if (shape == "escapes") {
+      return R"({"id":")" + id +
+             R"(","error":"a\\b \"q\" \n\t\/","status":"internal"})";
+    }
+    return R"({"id":")" + id + R"(","status":"ok","verdict":"SOLVABLE"})";
+  }
+
+  static std::string malformed(int k, const std::string& id) {
+    switch (k) {
+      case 0: return R"({"id":")" + id + R"(","status":"ok"} x)";
+      case 1: return R"({"id":")" + id + R"(","status":"o\k"})";
+      case 2: return R"({"id":")" + id + R"(" "status":"ok"})";
+      case 3: return R"({"id":")" + id + R"(","status":})";
+      default: return R"({"id":")" + id + R"(","status":"ok")";
+    }
+  }
+
+  Outcome on_line(std::string_view line, int line_no, Done) override {
+    Fields fields;
+    try {
+      fields = parse(std::string(line));
+    } catch (const std::invalid_argument& e) {
+      // What a real shard answers: no id, so the router can match nothing.
+      std::lock_guard<std::mutex> lk(mu);
+      received.emplace_back(line);
+      answered.emplace_back();
+      return Outcome{Outcome::Kind::kRespond,
+                     svc::error_record("", line_no,
+                                       svc::Status::kInvalidArgument,
+                                       e.what())};
+    }
+    const std::string id = field(fields, "id");
+    const std::string shape = field(fields, "shape");
+    std::string wire;
+    std::string answer;
+    if (shape.rfind("malformed-", 0) == 0) {
+      answer = respond("first", id);
+      wire = malformed(std::stoi(shape.substr(10)), id) + "\n" + answer;
+    } else {
+      answer = respond(shape, id);
+      wire = answer;
+    }
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      received.emplace_back(line);
+      answered.push_back(answer);
+    }
+    return Outcome{Outcome::Kind::kRespond, std::move(wire)};
+  }
+  std::string control(std::string_view, int) override { return "{}"; }
+  [[nodiscard]] std::size_t max_line_bytes() const override { return 1 << 16; }
+
+  std::mutex mu;
+  std::vector<std::string> received;  // request lines, as the router sent
+  std::vector<std::string> answered;  // the well-formed response to each
+};
+
+/// A started net::Server in front of a ScriptedShard.
+struct ScriptedServer {
+  ScriptedServer() {
+    net::ServerConfig config;
+    config.listen = net::Endpoint{"127.0.0.1", 0};
+    server = std::make_unique<net::Server>(shard, std::move(config));
+    server->start();
+  }
+  ScriptedShard shard;
+  std::unique_ptr<net::Server> server;
+};
+
+/// The request text a shard should see: the line without its CRLF '\r'.
+std::string without_cr(std::string line) {
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return line;
+}
 
 /// Router test defaults: fast reconnects and maintenance ticks so breaker
 /// and hedge behavior is observable within test time.
@@ -329,6 +442,150 @@ TEST(ClusterRouter, RequestsWithoutIdsAreAnsweredWithoutIds) {
   const Fields fields = parse(response);
   EXPECT_EQ(fields.count("id"), 0u);  // the router id never leaks out
   EXPECT_EQ(field(fields, "status"), "ok");
+}
+
+TEST(ClusterRouter, WireLinesAreByteIdenticalBothWays) {
+  ScriptedServer scripted;
+  RouterConfig config = fast_config();
+  config.shards.push_back(ShardSpec{
+      "sc", net::Endpoint{"127.0.0.1", scripted.server->port()}});
+  TestCluster cluster(0, std::move(config), /*wait_up=*/false);
+  cluster.wait_shard_up("sc");
+  net::Client client = cluster.connect(/*recv_timeout=*/5s);
+
+  // The id first, in the middle, last and absent; ids with escaped quotes,
+  // backslashes, newlines and "\/"; "id": inside another value; CRLF.
+  const std::vector<std::string> requests = {
+      R"({"id":"a1","op":"solve","task":"consensus","procs":2,"shape":"first"})",
+      R"({"op":"solve","id":"a2","task":"consensus","shape":"middle"})",
+      R"({"op":"solve","task":"consensus","shape":"last","id":"a3"})",
+      R"({"op":"solve","task":"consensus","procs":2,"shape":"spaced"})",
+      R"({ "id" : "a5" , "op":"solve","shape":"decoy"})",
+      R"({"id":"q\"u\\o\nte\t\/","op":"solve","shape":"escapes"})",
+      R"({"op":"solve","note":"\"id\":\"fake\", \"id\": 1","id":"a7","shape":"decoy"})",
+      R"({"op":"solve","note":"\"id\":\"only in a value\"","shape":"first"})",
+      R"({"id":"","op":"solve","shape":"middle"})",
+      R"({"id":"c1","op":"solve","shape":"last"})" "\r",
+      R"({"op":"solve","shape":"first","timeout_ms":60000})" "\r",
+      R"({"id":"m0","op":"solve","shape":"malformed-0"})",
+      R"({"id":"m1","op":"solve","shape":"malformed-1"})",
+      R"({"op":"solve","shape":"malformed-2"})",
+      R"({"id":"m3","op":"solve","shape":"malformed-3"})",
+      R"({"id":"m4","op":"solve","shape":"malformed-4"})",
+  };
+  int malformed = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const std::string& request = requests[i];
+    const std::string reply = client.roundtrip(request);
+    std::string received;
+    std::string answered;
+    {
+      std::lock_guard<std::mutex> lk(scripted.shard.mu);
+      ASSERT_EQ(scripted.shard.received.size(), i + 1) << request;
+      received = scripted.shard.received.back();
+      answered = scripted.shard.answered.back();
+    }
+    if (request.find("malformed") != std::string::npos) ++malformed;
+    // Request: the router's id replaces the client's, nothing else moves.
+    const std::string rid = field(parse(received), "id");
+    ASSERT_EQ(rid.rfind('r', 0), 0u) << received;
+    const std::string text = without_cr(request);
+    EXPECT_EQ(received, svc::with_id(svc::strip_field(text, "id"), rid))
+        << request;
+    // Response: the client's own id replaces the router's.
+    const Fields sent = parse(text);
+    const std::string expected =
+        sent.count("id") != 0
+            ? svc::with_id(svc::strip_field(answered, "id"),
+                           svc::json_escape(sent.at("id")))
+            : svc::strip_field(answered, "id");
+    EXPECT_EQ(reply, expected) << request;
+  }
+  // Each malformed shard line was dropped and counted, and reached no
+  // client: nothing is left to read.
+  EXPECT_EQ(cluster.router->stats().late_drops,
+            static_cast<std::uint64_t>(malformed));
+  pollfd p{client.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&p, 1, 200), 0);
+  EXPECT_TRUE(client.buffered_empty());
+}
+
+TEST(ClusterRouter, WhitespaceAroundALineStaysOffTheWire) {
+  // A line the shared reader accepts with blanks around its object reaches
+  // the shard as the bare object, so the id splice (and a hedge's
+  // timeout_ms rewrite) lands inside it.
+  ScriptedServer scripted;
+  RouterConfig config = fast_config();
+  config.shards.push_back(ShardSpec{
+      "sc", net::Endpoint{"127.0.0.1", scripted.server->port()}});
+  TestCluster cluster(0, std::move(config), /*wait_up=*/false);
+  cluster.wait_shard_up("sc");
+  net::Client client = cluster.connect(/*recv_timeout=*/5s);
+  const std::string object = R"({"id":"w1","op":"solve","shape":"first"})";
+  const Fields reply = parse(client.roundtrip("  " + object + " \t"));
+  EXPECT_EQ(field(reply, "id"), "w1");
+  EXPECT_EQ(field(reply, "status"), "ok");
+  std::lock_guard<std::mutex> lk(scripted.shard.mu);
+  ASSERT_EQ(scripted.shard.received.size(), 1u);
+  const std::string& received = scripted.shard.received.front();
+  EXPECT_EQ(received,
+            svc::with_id(svc::strip_field(object, "id"),
+                         field(parse(received), "id")));
+}
+
+TEST(ClusterRouter, HedgedWireLineOnlyRewritesItsDeadline) {
+  // A CRLF line with timeout_ms whose primary is silent: the hedge the
+  // successor receives is the forwarded line with timeout_ms, and only
+  // timeout_ms, rewritten to the remaining budget.
+  BlackHole hole;
+  ScriptedServer scripted;
+  RouterConfig config = fast_config();
+  config.hedge_fraction = 0.1;
+  config.hedge_min = 50ms;
+  config.shards.push_back(ShardSpec{"bh", {"127.0.0.1", hole.port}});
+  config.shards.push_back(ShardSpec{
+      "sc", net::Endpoint{"127.0.0.1", scripted.server->port()}});
+  TestCluster cluster(0, std::move(config), /*wait_up=*/false);
+  cluster.wait_shard_up("bh");
+  cluster.wait_shard_up("sc");
+
+  Ring replica(64);
+  replica.add("bh");
+  replica.add("sc");
+  std::string request;
+  for (int v = 0; v < 64 && request.empty(); ++v) {
+    const std::string candidate =
+        R"({"id":"h\"1","op":"solve","values":)" + std::to_string(v) +
+        R"(,"timeout_ms":3000,"shape":"middle"})";
+    if (replica.pick(routing_key(parse(candidate))) == "bh") {
+      request = candidate;
+    }
+  }
+  ASSERT_FALSE(request.empty());
+  net::Client client = cluster.connect(/*recv_timeout=*/5s);
+  const std::string reply = client.roundtrip(request + "\r");
+
+  std::string received;
+  std::string answered;
+  {
+    std::lock_guard<std::mutex> lk(scripted.shard.mu);
+    ASSERT_EQ(scripted.shard.received.size(), 1u);
+    received = scripted.shard.received.front();
+    answered = scripted.shard.answered.front();
+  }
+  const Fields hedged = parse(received);
+  const std::string remaining = field(hedged, "timeout_ms");
+  ASSERT_FALSE(remaining.empty());
+  EXPECT_LT(std::stoi(remaining), 3000);
+  EXPECT_GT(std::stoi(remaining), 0);
+  const std::string base = svc::strip_field(
+      svc::with_id(svc::strip_field(request, "id"), field(hedged, "id")),
+      "timeout_ms");
+  EXPECT_EQ(received, base.substr(0, base.size() - 1) + ",\"timeout_ms\":" +
+                          remaining + "}");
+  EXPECT_EQ(reply, svc::with_id(svc::strip_field(answered, "id"),
+                                svc::json_escape("h\"1")));
+  EXPECT_GE(cluster.router->stats().hedge_wins, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -645,6 +902,103 @@ TEST(ClusterRouter, ConnDeathRedispatchesInflightToSurvivors) {
   // producing a second copy of any id.
   EXPECT_THROW((void)client.recv_line(), net::TimeoutError);
   EXPECT_GE(cluster.router->stats().redispatches, 1u);
+}
+
+TEST(ClusterRouter, WedgedShardDoesNotStallOtherClients) {
+  // Shard "w" accepts and never reads.  A batch of lines for it fills its
+  // connections; meanwhile another client's query to the healthy shard
+  // must still be answered at once -- the one front io thread never waits
+  // on a shard.  Once the wedged connection makes no progress for
+  // send_timeout, everything queued on it answers exactly once.
+  WedgedShard wedged;
+  Backend healthy("s1");
+  RouterConfig config = fast_config();
+  config.send_timeout = 1s;
+  config.shards.push_back(ShardSpec{"w", {"127.0.0.1", wedged.port}});
+  config.shards.push_back(ShardSpec{
+      "s1", net::Endpoint{"127.0.0.1", healthy.server->port()}});
+  Router router(std::move(config));
+  router.start();
+  net::ServerConfig front_config;
+  front_config.listen = net::Endpoint{"127.0.0.1", 0};
+  front_config.io_threads = 1;
+  net::Server front(router, std::move(front_config));
+  front.start();
+  for (int spin = 0; spin < 500 && (router.shard_up_conns("w") < 2 ||
+                                    router.shard_up_conns("s1") < 2);
+       ++spin) {
+    std::this_thread::sleep_for(10ms);
+  }
+  ASSERT_EQ(router.shard_up_conns("w"), 2);
+
+  // The other client connects, and warms the healthy shard, up front.
+  Ring replica(64);
+  replica.add("w");
+  replica.add("s1");
+  const std::string healthy_query =
+      R"(","op":"solve","task":"consensus","procs":2,"values":)" +
+      std::to_string(consensus_values_owned_by(replica, "s1")) + "}";
+  net::ClientConfig other_config;
+  other_config.server = net::Endpoint{"127.0.0.1", front.port()};
+  other_config.recv_timeout = 5s;
+  net::Client other(std::move(other_config));
+  ASSERT_EQ(field(parse(other.roundtrip(R"({"id":"h0)" + healthy_query)),
+                  "status"),
+            "ok");
+
+  // "pad" is part of the routing key: pick one that lands on w.  24 lines
+  // of 16 KiB are several times what both tiny-window connections hold.
+  constexpr int kLarge = 24;
+  const std::string filler(16 * 1024, 'x');
+  std::string pad;
+  for (int k = 0; k < 64 && pad.empty(); ++k) {
+    const std::string candidate = std::to_string(k) + filler;
+    const std::string line =
+        R"({"op":"solve","task":"consensus","procs":2,"values":2,"pad":")" +
+        candidate + "\"}";
+    if (replica.pick(routing_key(parse(line))) == "w") pad = candidate;
+  }
+  ASSERT_FALSE(pad.empty());
+  std::string batch;
+  for (int i = 0; i < kLarge; ++i) {
+    batch += R"({"id":"w)" + std::to_string(i) +
+             R"(","op":"solve","task":"consensus","procs":2,"values":2,"pad":")" +
+             pad + "\"}\n";
+  }
+  net::ClientConfig wedger_config;
+  wedger_config.server = net::Endpoint{"127.0.0.1", front.port()};
+  wedger_config.recv_timeout = 10s;
+  net::Client wedger(std::move(wedger_config));
+  std::thread sender([&wedger, &batch] { wedger.send_raw(batch); });
+  std::this_thread::sleep_for(300ms);  // w's connection is full by now
+
+  const auto start = std::chrono::steady_clock::now();
+  const Fields fields =
+      parse(other.roundtrip(R"({"id":"h1)" + healthy_query));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(field(fields, "id"), "h1");
+  EXPECT_EQ(field(fields, "status"), "ok");
+  EXPECT_LT(elapsed, 500ms) << "a wedged shard stalled another client";
+
+  sender.join();
+  std::map<std::string, int> answered;
+  for (int i = 0; i < kLarge; ++i) {
+    const std::optional<std::string> line = wedger.recv_line();
+    ASSERT_TRUE(line.has_value());
+    const Fields reply = parse(*line);
+    ++answered[field(reply, "id")];
+    const std::string status = field(reply, "status");
+    EXPECT_TRUE(status == "ok" || status == "overloaded") << status;
+  }
+  EXPECT_EQ(answered.size(), static_cast<std::size_t>(kLarge));
+  for (const auto& [id, count] : answered) EXPECT_EQ(count, 1) << id;
+  pollfd p{wedger.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&p, 1, 200), 0) << "a request answered twice";
+  const Router::Stats stats = router.stats();
+  EXPECT_GE(stats.redispatches + stats.failed,
+            static_cast<std::uint64_t>(kLarge));
+  front.stop();
+  router.stop();
 }
 
 // ---------------------------------------------------------------------------

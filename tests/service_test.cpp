@@ -727,11 +727,15 @@ TEST(Frontend, ServesCheckOps) {
 }
 
 TEST(Frontend, ServesABatchInOrder) {
+  // The stats line after q2 is a barrier: control lines wait for every
+  // earlier query, so q3 starts only once q2 has finished and cached its
+  // towers.  Without it the two workers may run q2 and q3 at once.
   std::istringstream in(
       "# comment\n"
       "\n"
       R"({"id":"q1","op":"solve","task":"consensus","procs":2,"values":2})" "\n"
       R"({"id":"q2","op":"solve","task":"approx","procs":2,"grid":3})" "\n"
+      R"({"op":"stats"})" "\n"
       R"({"id":"q3","op":"solve","task":"approx","procs":2,"grid":3})" "\n"
       R"({"nonsense":true})" "\n"
       R"({"op":"emulate","procs":2,"shots":1})" "\n"
@@ -746,22 +750,24 @@ TEST(Frontend, ServesABatchInOrder) {
   std::vector<std::string> lines;
   std::istringstream result(out.str());
   for (std::string line; std::getline(result, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 6u);
+  ASSERT_EQ(lines.size(), 7u);
 
   EXPECT_NE(lines[0].find("\"id\":\"q1\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"verdict\":\"UNSOLVABLE\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"id\":\"q2\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"verdict\":\"SOLVABLE\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"level\":1"), std::string::npos);
+  EXPECT_NE(lines[2].find("cache hits="), std::string::npos);
   // q3 repeats q2: the shared cache makes it a pure hit.
-  EXPECT_NE(lines[2].find("\"cache_hit\":true"), std::string::npos);
+  EXPECT_NE(lines[3].find("\"id\":\"q3\""), std::string::npos);
+  EXPECT_NE(lines[3].find("\"cache_hit\":true"), std::string::npos);
   // The malformed line answers with the taxonomy token and its 1-based
   // input line number (the batch has a comment and a blank line first).
-  EXPECT_NE(lines[3].find("\"status\":\"invalid_argument\""),
+  EXPECT_NE(lines[4].find("\"status\":\"invalid_argument\""),
             std::string::npos);
-  EXPECT_NE(lines[3].find("\"line\":6"), std::string::npos);
-  EXPECT_NE(lines[4].find("\"rounds\""), std::string::npos);
-  EXPECT_NE(lines[5].find("cache hits="), std::string::npos);
+  EXPECT_NE(lines[4].find("\"line\":7"), std::string::npos);
+  EXPECT_NE(lines[5].find("\"rounds\""), std::string::npos);
+  EXPECT_NE(lines[6].find("cache hits="), std::string::npos);
 }
 
 }  // namespace
