@@ -4,8 +4,7 @@
 
 namespace wfc::cluster {
 
-std::uint64_t fnv1a64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+std::uint64_t fnv1a64(std::string_view s, std::uint64_t h) {
   for (const char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;  // FNV prime

@@ -30,10 +30,14 @@
 
 namespace wfc::cluster {
 
+inline constexpr std::uint64_t kFnv64Offset = 1469598103934665603ull;
+
 /// FNV-1a 64-bit -- the fingerprint hash for routing keys and ring points.
 /// Stable across runs and platforms (no seed), so a corpus maps to the
-/// same shards on every router restart.
-[[nodiscard]] std::uint64_t fnv1a64(std::string_view s);
+/// same shards on every router restart.  `h` is the running hash, so bytes
+/// can be fed in pieces: fnv1a64(b, fnv1a64(a)) == fnv1a64(a + b).
+[[nodiscard]] std::uint64_t fnv1a64(std::string_view s,
+                                    std::uint64_t h = kFnv64Offset);
 
 class Ring {
  public:

@@ -125,18 +125,16 @@ std::uint64_t routing_key(const svc::Fields& fields) {
   // tasks by plus the model, so one fingerprint == one warm shard cache of
   // that model's restricted towers.  An explicit wait_free is dropped to
   // hash identically to omitting the field (the handler normalizes the
-  // same way).
-  std::string key;
+  // same way).  The key is the FNV-1a of the "k=v;" bytes, fed field by
+  // field.
+  std::uint64_t h = kFnv64Offset;
   for (const auto& [k, v] : fields) {
     if (svc::is_non_task_field(k) || (k == "model" && v == "wait_free")) {
       continue;
     }
-    key += k;
-    key += '=';
-    key += v;
-    key += ';';
+    h = fnv1a64(";", fnv1a64(v, fnv1a64("=", fnv1a64(k, h))));
   }
-  return fnv1a64(key);
+  return h;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 #include "model/model.hpp"
 
 #include <algorithm>
-#include <map>
+#include <array>
 #include <sstream>
 #include <stdexcept>
 
@@ -74,24 +74,33 @@ int run_concurrency(const RunDesc& run, int from_round) {
   struct Round {
     const std::vector<ColorSet>* blocks;
   };
-  std::vector<Round> rounds;
+  constexpr int kMaxRounds = 8;
+  int nr = 0;
   for (int r = from_round; r < b; ++r) {
-    const auto& blocks = run.rounds[static_cast<std::size_t>(r)].blocks;
-    if (!blocks.empty()) rounds.push_back(Round{&blocks});
+    if (!run.rounds[static_cast<std::size_t>(r)].blocks.empty()) ++nr;
   }
-  const int nr = static_cast<int>(rounds.size());
   if (nr == 0) return 0;
-  WFC_REQUIRE(nr <= 8, "run_concurrency: too many rounds");
+  WFC_REQUIRE(nr <= kMaxRounds, "run_concurrency: too many rounds");
+  std::array<Round, kMaxRounds> rounds{};
+  for (int r = from_round, i = 0; r < b; ++r) {
+    const auto& blocks = run.rounds[static_cast<std::size_t>(r)].blocks;
+    if (!blocks.empty()) rounds[static_cast<std::size_t>(i++)] = Round{&blocks};
+  }
 
   // Per processor: first/last round index (within `rounds`) and block index
   // per round it participates in.
   ColorSet procs;
-  for (const Round& r : rounds) {
-    for (const ColorSet& blk : *r.blocks) procs = procs.unite(blk);
+  for (int r = 0; r < nr; ++r) {
+    for (const ColorSet& blk : *rounds[static_cast<std::size_t>(r)].blocks) {
+      procs = procs.unite(blk);
+    }
   }
-  std::vector<int> first(kMaxColors, -1), last(kMaxColors, -1);
-  std::vector<std::vector<int>> block_of(
-      static_cast<std::size_t>(nr), std::vector<int>(kMaxColors, -1));
+  std::array<int, kMaxColors> first;
+  std::array<int, kMaxColors> last;
+  first.fill(-1);
+  last.fill(-1);
+  std::array<std::array<int, kMaxColors>, kMaxRounds> block_of;
+  for (auto& row : block_of) row.fill(-1);
   for (int r = 0; r < nr; ++r) {
     const auto& blocks = *rounds[static_cast<std::size_t>(r)].blocks;
     for (int j = 0; j < static_cast<int>(blocks.size()); ++j) {
@@ -110,18 +119,22 @@ int run_concurrency(const RunDesc& run, int from_round) {
   // (its previous event) has fired; cost of a firing is the number of
   // started-but-unfinished processors plus the firing block's members.
   // value(state) = min over next firings of max(cost, value(next)), memoized
-  // on the packed state.
-  std::vector<int> c(static_cast<std::size_t>(nr), 0);
-  std::map<std::uint64_t, int> memo;
+  // in a flat table indexed by the state read as a mixed-radix number (digit
+  // r is c[r], in 0..blocks of round r).
+  std::array<int, kMaxRounds> c{};
+  std::array<std::size_t, kMaxRounds> stride{};
+  std::size_t states = 1;
+  for (int r = 0; r < nr; ++r) {
+    stride[static_cast<std::size_t>(r)] = states;
+    states *= rounds[static_cast<std::size_t>(r)].blocks->size() + 1;
+  }
+  WFC_REQUIRE(states <= (std::size_t{1} << 24),
+              "run_concurrency: too many block states");
+  constexpr std::int8_t kUnknown = -1;
+  std::vector<std::int8_t> memo(states, kUnknown);
+  std::size_t at = 0;  // index of the current state c
   const int kInf = kMaxColors + 1;
 
-  auto pack = [&]() {
-    std::uint64_t key = 0;
-    for (int r = 0; r < nr; ++r) {
-      key = (key << 8) | static_cast<std::uint64_t>(c[static_cast<std::size_t>(r)]);
-    }
-    return key;
-  };
   auto fired = [&](Color p, int r) {
     return block_of[static_cast<std::size_t>(r)][static_cast<std::size_t>(p)] <
            c[static_cast<std::size_t>(r)];
@@ -137,9 +150,9 @@ int run_concurrency(const RunDesc& run, int from_round) {
       }
     }
     if (done) return 0;
-    const std::uint64_t key = pack();
-    if (auto it = memo.find(key); it != memo.end()) return it->second;
-    memo.emplace(key, kInf);  // cycle guard (the DAG has none, but be safe)
+    const std::size_t here = at;
+    if (memo[here] != kUnknown) return memo[here];
+    memo[here] = kInf;  // cycle guard (the DAG has none, but be safe)
 
     int best = kInf;
     for (int r = 0; r < nr; ++r) {
@@ -171,11 +184,13 @@ int run_concurrency(const RunDesc& run, int from_round) {
       const int cost = active.size();
       if (cost >= best) continue;  // cannot improve along this branch
       ++c[static_cast<std::size_t>(r)];
+      at += stride[static_cast<std::size_t>(r)];
       const int sub = self(self);
+      at -= stride[static_cast<std::size_t>(r)];
       --c[static_cast<std::size_t>(r)];
       best = std::min(best, std::max(cost, sub));
     }
-    memo[key] = best;
+    memo[here] = static_cast<std::int8_t>(best);
     return best;
   };
   return rec(rec);

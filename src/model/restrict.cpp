@@ -1,8 +1,10 @@
 #include "model/restrict.hpp"
 
 #include <algorithm>
-#include <map>
+#include <functional>
 #include <span>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/assert.hpp"
 
@@ -15,68 +17,98 @@ using topo::ChromaticComplex;
 using topo::Simplex;
 using topo::VertexId;
 
-/// "<color>@<v1>,<v2>,..." -> (color, sorted view ids one level down).
-std::pair<Color, Simplex> parse_sds_key(std::string_view key) {
-  const std::size_t at = key.find('@');
-  WFC_CHECK(at != std::string_view::npos && at > 0,
-            "model: vertex key is not an SDS view key");
-  Color color = 0;
-  for (char c : key.substr(0, at)) {
-    WFC_CHECK(c >= '0' && c <= '9', "model: bad color in SDS key");
-    color = color * 10 + (c - '0');
+/// Every vertex key of one tower level, parsed once: the key
+/// "<color>@<v1>,<v2>,..." gives the vertex's color and its view (sorted
+/// vertex ids one level down; subdivision.cpp).
+class ParsedLevel {
+ public:
+  explicit ParsedLevel(const Arena& arena) {
+    const std::uint32_t n = arena.num_vertices();
+    colors_.reserve(n);
+    view_idx_.reserve(std::size_t{n} + 1);
+    view_idx_.push_back(0);
+    for (VertexId v = 0; v < n; ++v) parse(arena.key(v));
   }
-  Simplex view;
-  VertexId v = 0;
-  bool have = false;
-  for (char c : key.substr(at + 1)) {
-    if (c == ',') {
-      WFC_CHECK(have, "model: empty id in SDS key view");
-      view.push_back(v);
-      v = 0;
-      have = false;
-    } else {
-      WFC_CHECK(c >= '0' && c <= '9', "model: bad id in SDS key view");
-      v = v * 10 + static_cast<VertexId>(c - '0');
-      have = true;
-    }
-  }
-  WFC_CHECK(have, "model: empty SDS key view");
-  view.push_back(v);
-  return {color, std::move(view)};
-}
 
-/// One descent step: groups a simplex's (color, view) pairs into the
-/// round's blocks (view-size order is the snapshot containment chain) and
-/// returns the parent simplex one level down (the largest view).
-struct Step {
-  std::vector<ColorSet> blocks;
-  Simplex parent;
+  [[nodiscard]] Color color(VertexId v) const { return colors_[v]; }
+  [[nodiscard]] std::span<const VertexId> view(VertexId v) const {
+    return std::span<const VertexId>(views_).subspan(
+        view_idx_[v], view_idx_[v + 1] - view_idx_[v]);
+  }
+
+ private:
+  void parse(std::string_view key) {
+    const std::size_t at = key.find('@');
+    WFC_CHECK(at != std::string_view::npos && at > 0,
+              "model: vertex key is not an SDS view key");
+    Color color = 0;
+    for (char c : key.substr(0, at)) {
+      WFC_CHECK(c >= '0' && c <= '9' && color < kMaxColors,
+                "model: bad color in SDS key");
+      color = color * 10 + (c - '0');
+    }
+    VertexId v = 0;
+    bool have = false;
+    for (char c : key.substr(at + 1)) {
+      if (c == ',') {
+        WFC_CHECK(have, "model: empty id in SDS key view");
+        views_.push_back(v);
+        v = 0;
+        have = false;
+      } else {
+        WFC_CHECK(c >= '0' && c <= '9', "model: bad id in SDS key view");
+        v = v * 10 + static_cast<VertexId>(c - '0');
+        have = true;
+      }
+    }
+    WFC_CHECK(have, "model: empty SDS key view");
+    views_.push_back(v);
+    colors_.push_back(color);
+    view_idx_.push_back(static_cast<std::uint32_t>(views_.size()));
+  }
+
+  std::vector<Color> colors_;
+  std::vector<std::uint32_t> view_idx_;
+  std::vector<VertexId> views_;
 };
 
-Step step_down(const std::vector<std::pair<Color, Simplex>>& verts) {
-  std::map<Simplex, ColorSet> groups;
-  for (const auto& [color, view] : verts) {
-    auto [it, fresh] = groups.try_emplace(view);
-    it->second = it->second.with(color);
+/// One descent step: groups the vertices of `simplex` by equal views into
+/// the round's blocks (view-size order is the snapshot containment chain),
+/// written to *blocks, and returns the parent simplex one level down (the
+/// largest view).
+std::span<const VertexId> step_down(const ParsedLevel& level,
+                                    std::span<const VertexId> simplex,
+                                    std::vector<ColorSet>* blocks) {
+  struct Group {
+    std::span<const VertexId> view;
+    ColorSet colors;
+  };
+  std::vector<Group> groups;
+  groups.reserve(simplex.size());
+  for (VertexId v : simplex) {
+    const std::span<const VertexId> view = level.view(v);
+    auto it = std::find_if(groups.begin(), groups.end(), [&](const Group& g) {
+      return std::ranges::equal(g.view, view);
+    });
+    if (it == groups.end()) it = groups.insert(groups.end(), Group{view, {}});
+    it->colors = it->colors.with(level.color(v));
   }
-  Step out;
-  std::vector<const Simplex*> views;
-  for (const auto& [view, colors] : groups) views.push_back(&view);
-  std::sort(views.begin(), views.end(),
-            [](const Simplex* a, const Simplex* b) {
-              return a->size() < b->size();
-            });
-  for (std::size_t i = 0; i < views.size(); ++i) {
+  std::sort(groups.begin(), groups.end(), [](const Group& a, const Group& b) {
+    return a.view.size() < b.view.size();
+  });
+  blocks->clear();
+  for (std::size_t i = 0; i < groups.size(); ++i) {
     if (i > 0) {
-      WFC_CHECK(views[i - 1]->size() < views[i]->size() &&
-                    std::includes(views[i]->begin(), views[i]->end(),
-                                  views[i - 1]->begin(), views[i - 1]->end()),
+      const auto& small = groups[i - 1].view;
+      const auto& big = groups[i].view;
+      WFC_CHECK(small.size() < big.size() &&
+                    std::includes(big.begin(), big.end(), small.begin(),
+                                  small.end()),
                 "model: views are not a containment chain");
     }
-    out.blocks.push_back(groups.find(*views[i])->second);
+    blocks->push_back(groups[i].colors);
   }
-  out.parent = *views.back();
-  return out;
+  return groups.back().view;
 }
 
 ColorSet span_colors(const Arena& arena, std::span<const VertexId> s) {
@@ -95,40 +127,69 @@ ColorSet span_carrier(const Arena& arena, std::span<const VertexId> s) {
   return out;
 }
 
-}  // namespace
+/// A run as words: n_sys, the participants' mask, then per round the
+/// crashed mask, the block count and the block masks.  Equal runs (and only
+/// equal runs) have equal words, as with RunDesc::signature().
+using RunKey = std::vector<std::uint32_t>;
 
-std::vector<std::vector<ColorSet>> recover_schedule(
-    const proto::SdsChain& chain, int level,
-    std::span<const VertexId> facet, Simplex* base_facet) {
-  WFC_REQUIRE(level >= 0 && level <= chain.depth(),
-              "recover_schedule: level out of range");
-  std::vector<std::vector<ColorSet>> rounds(
-      static_cast<std::size_t>(level));
-  Simplex cur(facet.begin(), facet.end());
-  for (int l = level; l >= 1; --l) {
-    const Arena arena = chain.arena(l);
-    std::vector<std::pair<Color, Simplex>> verts;
-    verts.reserve(cur.size());
-    for (VertexId v : cur) {
-      verts.push_back(parse_sds_key(arena.key(v)));
-    }
-    Step step = step_down(verts);
-    rounds[static_cast<std::size_t>(l - 1)] = std::move(step.blocks);
-    cur = std::move(step.parent);
+RunDesc run_of(const RunKey& key, int rounds) {
+  RunDesc run;
+  run.n_sys = static_cast<int>(key[0]);
+  run.participants = ColorSet(key[1]);
+  run.rounds.resize(static_cast<std::size_t>(rounds));
+  std::size_t i = 2;
+  for (RunRound& rr : run.rounds) {
+    rr.crashed = ColorSet(key[i++]);
+    const std::uint32_t nb = key[i++];
+    rr.blocks.reserve(nb);
+    for (std::uint32_t j = 0; j < nb; ++j) rr.blocks.emplace_back(key[i++]);
   }
-  if (base_facet != nullptr) *base_facet = std::move(cur);
-  return rounds;
+  return run;
 }
 
-void for_each_run(const proto::SdsChain& chain, int level,
-                  const Arena& facets_arena,
-                  const std::function<void(const RunDesc&,
-                                           const Simplex&)>& fn) {
+struct Judged {
+  std::uint64_t admitted = 0;  // distinct runs judge() admitted
+  std::uint64_t rejected = 0;  // distinct runs judge() refused
+  /// (facet index, survivor colors) of every run judge() admitted, once
+  /// per facet that carries it: the survivor simplices, duplicates included.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> kept;
+};
+
+/// Enumerates every distinct run carried by level `level` of `chain`
+/// restricted to the facets of `facets_arena` (chain.arena(level) for the
+/// whole level): full-information runs plus every crash embedding; runs
+/// with no survivor are skipped.  The top descent step parses keys from
+/// `facets_arena` (which may be a pruned subcomplex with its own vertex
+/// ids), lower steps from the chain's own levels; each level's keys are
+/// parsed once.  judge(run) is called once per distinct run, the first
+/// time any facet carries it; a run's RunDesc is built only then.
+Judged for_each_run(const proto::SdsChain& chain, int level,
+                    const Arena& facets_arena,
+                    const std::function<bool(const RunDesc&)>& judge) {
   WFC_REQUIRE(level >= 0 && level <= chain.depth(),
               "for_each_run: level out of range");
   const int n_sys = facets_arena.n_colors();
   const int b = level;
 
+  // levels[l - 1] parses tower level l; the top is facets_arena itself.
+  std::vector<ParsedLevel> levels;
+  for (int l = 1; l < b; ++l) levels.emplace_back(chain.arena(l));
+  if (b >= 1) levels.emplace_back(facets_arena);
+
+  Judged out;
+  std::unordered_map<RunKey, bool, topo::SimplexHash> verdicts;
+  verdicts.reserve(facets_arena.num_facets());  // about one run per facet
+  RunKey key;
+  const auto consider = [&](std::uint32_t f, ColorSet survivors) {
+    auto [it, fresh] = verdicts.try_emplace(key, false);
+    if (fresh) {
+      it->second = judge(run_of(key, b));
+      ++(it->second ? out.admitted : out.rejected);
+    }
+    if (it->second) out.kept.emplace_back(f, survivors.mask());
+  };
+
+  std::vector<std::vector<ColorSet>> schedule(static_cast<std::size_t>(b));
   for (std::uint32_t f = 0; f < facets_arena.num_facets(); ++f) {
     const std::span<const VertexId> fv = facets_arena.facet(f);
     const ColorSet colors = span_colors(facets_arena, fv);
@@ -146,166 +207,137 @@ void for_each_run(const proto::SdsChain& chain, int level,
       // 0-round runs: participation only.
       for (std::uint32_t sub = colors.mask(); sub != 0;
            sub = (sub - 1) & colors.mask()) {
-        const ColorSet part(sub);
-        RunDesc run;
-        run.n_sys = n_sys;
-        run.participants = part;
-        Simplex survivors;
-        for (VertexId v : fv) {
-          if (part.contains(static_cast<Color>(facets_arena.colors()[v]))) {
-            survivors.push_back(v);
-          }
-        }
-        fn(run, topo::make_simplex(std::move(survivors)));
+        key.assign({static_cast<std::uint32_t>(n_sys), sub});
+        consider(f, ColorSet(sub));
       }
       continue;
     }
 
-    // Recover the schedule: round 0 blocks come from descending the whole
-    // tower; the top step parses keys from `facets_arena` (which may be a
-    // pruned subcomplex with its own vertex ids), lower steps from the
-    // chain's own levels.
-    std::vector<std::vector<ColorSet>> schedule(static_cast<std::size_t>(b));
-    {
-      std::vector<std::pair<Color, Simplex>> verts;
-      verts.reserve(fv.size());
-      for (VertexId v : fv) {
-        verts.push_back(parse_sds_key(facets_arena.key(v)));
-      }
-      Step step = step_down(verts);
-      schedule[static_cast<std::size_t>(b - 1)] = std::move(step.blocks);
-      Simplex cur = std::move(step.parent);
-      for (int l = b - 1; l >= 1; --l) {
-        const Arena arena = chain.arena(l);
-        std::vector<std::pair<Color, Simplex>> vs;
-        vs.reserve(cur.size());
-        for (VertexId v : cur) vs.push_back(parse_sds_key(arena.key(v)));
-        Step s = step_down(vs);
-        schedule[static_cast<std::size_t>(l - 1)] = std::move(s.blocks);
-        cur = std::move(s.parent);
-      }
+    // Recover the schedule (round 0 first) by descending the tower.
+    std::span<const VertexId> cur = fv;
+    for (int l = b; l >= 1; --l) {
+      const auto li = static_cast<std::size_t>(l - 1);
+      cur = step_down(levels[li], cur, &schedule[li]);
     }
 
-    // Enumerate crash-round assignments cr[i] in 0..b per color (0 = never
-    // participated, b = survived): valid iff at every round the
-    // crashed-so-far colors occupy the trailing singleton blocks.
-    std::vector<Color> order(colors.begin(), colors.end());
+    // The crash assignments give every color a crash round in 0..b (0 =
+    // never participated, b = survived).  One is valid iff at every round
+    // the crashed-so-far colors occupy the trailing singleton blocks, so
+    // the valid ones are generated directly: by round r the last k_r blocks
+    // of round r have crashed, for k_r over the trailing singletons, with
+    // the crashed sets growing from round to round.  The run key is built
+    // alongside, one round per recursion level.
     double cost = 1;
     for (int i = 0; i < q; ++i) cost *= b + 1;
     WFC_REQUIRE(cost <= 4e6, "for_each_run: crash enumeration too large");
 
-    std::set<std::string> seen;
-    std::vector<int> cr(static_cast<std::size_t>(q), 0);
-    auto emit = [&]() {
-      ColorSet dead;
-      ColorSet nonpart;
-      for (int i = 0; i < q; ++i) {
-        if (cr[static_cast<std::size_t>(i)] < b) {
-          dead = dead.with(order[static_cast<std::size_t>(i)]);
-        }
-        if (cr[static_cast<std::size_t>(i)] == 0) {
-          nonpart = nonpart.with(order[static_cast<std::size_t>(i)]);
-        }
+    key.assign({static_cast<std::uint32_t>(n_sys), 0});
+    const auto crash = [&](const auto& self, int r, ColorSet before) -> void {
+      if (r == b) {
+        const ColorSet survivors = colors.minus(before);
+        if (!survivors.empty()) consider(f, survivors);
+        return;
       }
-      const ColorSet survivors = colors.minus(dead);
-      if (survivors.empty()) return;
-      // Validity + live-run assembly in one pass.
-      RunDesc run;
-      run.n_sys = n_sys;
-      run.participants = colors.minus(nonpart);
-      for (int r = 0; r < b; ++r) {
-        ColorSet gone;  // crashed by round r
-        ColorSet now;   // crashed exactly at round r
-        for (int i = 0; i < q; ++i) {
-          const int c = cr[static_cast<std::size_t>(i)];
-          if (c <= r) gone = gone.with(order[static_cast<std::size_t>(i)]);
-          if (c == r) now = now.with(order[static_cast<std::size_t>(i)]);
+      const auto& blocks = schedule[static_cast<std::size_t>(r)];
+      const std::size_t nb = blocks.size();
+      const std::size_t mark = key.size();
+      ColorSet gone;  // crashed by round r: the last k blocks
+      for (std::size_t k = 0;; ++k) {
+        if (before.subset_of(gone)) {
+          if (r == 0) key[1] = colors.minus(gone).mask();  // participants
+          key.push_back(r >= 1 ? gone.minus(before).mask() : 0);
+          key.push_back(static_cast<std::uint32_t>(nb - k));
+          for (std::size_t j = 0; j < nb - k; ++j) {
+            key.push_back(blocks[j].mask());
+          }
+          self(self, r + 1, gone);
+          key.resize(mark);
         }
-        const auto& blocks = schedule[static_cast<std::size_t>(r)];
-        const int nb = static_cast<int>(blocks.size());
-        const int m = gone.size();
-        if (m > nb) return;
-        for (int j = nb - m; j < nb; ++j) {
-          const ColorSet blk = blocks[static_cast<std::size_t>(j)];
-          if (blk.size() != 1 || !gone.contains(blk.min())) return;
-        }
-        RunRound rr;
-        rr.blocks.assign(blocks.begin(), blocks.end() - m);
-        if (r >= 1) rr.crashed = now;
-        run.rounds.push_back(std::move(rr));
+        if (k == nb || blocks[nb - 1 - k].size() != 1) break;
+        gone = gone.unite(blocks[nb - 1 - k]);
       }
-      if (!seen.insert(run.signature()).second) return;
-      Simplex sx;
-      for (VertexId v : fv) {
-        if (survivors.contains(static_cast<Color>(facets_arena.colors()[v]))) {
-          sx.push_back(v);
-        }
-      }
-      fn(run, topo::make_simplex(std::move(sx)));
     };
-    // Odometer over crash assignments.
-    for (;;) {
-      emit();
-      int i = 0;
-      while (i < q && cr[static_cast<std::size_t>(i)] == b) {
-        cr[static_cast<std::size_t>(i)] = 0;
-        ++i;
-      }
-      if (i == q) break;
-      ++cr[static_cast<std::size_t>(i)];
-    }
+    crash(crash, 0, ColorSet{});
   }
+  return out;
 }
+
+}  // namespace
 
 Restriction restrict_level(const proto::SdsChain& chain, int level,
                            const Model& model) {
   const Arena arena = chain.arena(level);
   Restriction out;
 
-  std::map<std::string, bool> verdicts;  // run signature -> admitted
-  std::set<Simplex> kept;
-  for_each_run(chain, level, arena, [&](const RunDesc& run, const Simplex& sx) {
-    auto [it, fresh] = verdicts.try_emplace(run.signature(), false);
-    if (fresh) it->second = model.admits(run);
-    if (it->second) kept.insert(sx);
-  });
-  for (const auto& [sig, admitted] : verdicts) {
-    if (admitted) {
-      ++out.runs_admitted;
-    } else {
-      ++out.runs_rejected;
-    }
-  }
+  Judged judged = for_each_run(
+      chain, level, arena, [&](const RunDesc& run) { return model.admits(run); });
+  out.runs_admitted = judged.admitted;
+  out.runs_rejected = judged.rejected;
 
-  // Maximal kept simplices, in the set's lexicographic order.
-  std::vector<const Simplex*> maximal;
-  for (const Simplex& s : kept) {
-    bool covered = false;
-    for (const Simplex& t : kept) {
-      if (t.size() > s.size() &&
-          std::includes(t.begin(), t.end(), s.begin(), s.end())) {
-        covered = true;
-        break;
+  // The kept survivor simplices, deduplicated in lexicographic order.
+  std::vector<Simplex> kept;
+  kept.reserve(judged.kept.size());
+  for (const auto& [f, mask] : judged.kept) {
+    Simplex sx;
+    for (VertexId v : arena.facet(f)) {
+      if (ColorSet(mask).contains(static_cast<Color>(arena.colors()[v]))) {
+        sx.push_back(v);
       }
     }
+    kept.push_back(topo::make_simplex(std::move(sx)));
+  }
+  std::sort(kept.begin(), kept.end());
+  kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+
+  // Maximal kept simplices, in that order: a simplex is covered iff a
+  // larger kept simplex through its least-used vertex contains it.
+  std::vector<std::uint32_t> through_idx(arena.num_vertices() + 1, 0);
+  for (const Simplex& s : kept) {
+    for (VertexId v : s) ++through_idx[v + 1];
+  }
+  for (std::size_t v = 0; v < arena.num_vertices(); ++v) {
+    through_idx[v + 1] += through_idx[v];
+  }
+  std::vector<const Simplex*> through(through_idx.back());
+  {
+    std::vector<std::uint32_t> fill(through_idx.begin(), through_idx.end() - 1);
+    for (const Simplex& s : kept) {
+      for (VertexId v : s) through[fill[v]++] = &s;
+    }
+  }
+  std::vector<const Simplex*> maximal;
+  for (const Simplex& s : kept) {
+    const auto uses = [&](VertexId v) {
+      return through_idx[v + 1] - through_idx[v];
+    };
+    const VertexId least = *std::min_element(
+        s.begin(), s.end(),
+        [&](VertexId a, VertexId b) { return uses(a) < uses(b); });
+    const bool covered = std::any_of(
+        through.begin() + through_idx[least],
+        through.begin() + through_idx[least + 1], [&](const Simplex* t) {
+          return t->size() > s.size() &&
+                 std::includes(t->begin(), t->end(), s.begin(), s.end());
+        });
     if (!covered) maximal.push_back(&s);
   }
   out.facets_kept = maximal.size();
   for (std::uint32_t f = 0; f < arena.num_facets(); ++f) {
     const auto fs = arena.facet(f);
-    if (kept.find(Simplex(fs.begin(), fs.end())) == kept.end()) {
+    if (!std::binary_search(kept.begin(), kept.end(),
+                            Simplex(fs.begin(), fs.end()))) {
       ++out.facets_dropped;
     }
   }
 
   // Rebuild the pruned level: kept vertices in ascending original order.
-  std::set<VertexId> vertex_set;
+  std::vector<VertexId> remap(arena.num_vertices(), topo::kNoVertex);
   for (const Simplex* s : maximal) {
-    for (VertexId v : *s) vertex_set.insert(v);
+    for (VertexId v : *s) remap[v] = 0;
   }
   auto pruned = std::make_shared<ChromaticComplex>(arena.n_colors());
-  std::vector<VertexId> remap(arena.num_vertices(), topo::kNoVertex);
-  for (VertexId v : vertex_set) {
+  for (VertexId v = 0; v < arena.num_vertices(); ++v) {
+    if (remap[v] == topo::kNoVertex) continue;
     const auto bc = arena.base_carrier(v);
     const auto coords = arena.coords(v);
     remap[v] = pruned->add_vertex(
@@ -329,10 +361,10 @@ Restriction restrict_level(const proto::SdsChain& chain, int level,
 std::set<std::string> affine_task_windows(const proto::SdsChain& chain, int m,
                                           const Arena& affine_arena) {
   std::set<std::string> out;
-  for_each_run(chain, m, affine_arena,
-               [&](const RunDesc& run, const Simplex&) {
-                 out.insert(run.signature());
-               });
+  for_each_run(chain, m, affine_arena, [&](const RunDesc& run) {
+    out.insert(run.signature());
+    return false;
+  });
   return out;
 }
 

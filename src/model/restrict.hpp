@@ -3,10 +3,12 @@
 // The facets of SDS^b over a base facet F are in bijection with sequences
 // of b ordered partitions of colors(F) (Lemma 3.2 iterated), and every
 // level-l vertex key encodes its round-(l-1) view ("<color>@<v1>,<v2>,...",
-// view ids at level l-1; subdivision.cpp).  recover_schedule() inverts the
-// bijection by parsing keys down the tower: group a simplex's vertices by
-// equal views (the blocks), order blocks by view size (the containment
-// chain), recurse into the largest view (the parent facet one level down).
+// view ids at level l-1; subdivision.cpp).  The run enumerator
+// (restrict.cpp) inverts the bijection by walking keys down the tower:
+// group a simplex's vertices by equal views (the blocks), order blocks by
+// view size (the containment chain), recurse into the largest view (the
+// parent facet one level down).  Each level's keys are parsed once, and
+// each distinct run is judged once, keyed by its masks.
 //
 // Crashes ride the chk::explore_iis embedding: a processor that crashes at
 // round r is indistinguishable from one scheduled alone in the LAST block
@@ -25,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -57,27 +58,6 @@ struct Restriction {
     return complex == nullptr || complex->num_facets() == 0;
   }
 };
-
-/// Recovers the b ordered partitions (round 0 first) that generate the
-/// level-`level` facet `facet` (vertex ids of chain.level(level)), and the
-/// base facet it subdivides into *base_facet (level-0 vertex ids).  The
-/// blocks are ColorSets; every round partitions colors(facet).
-std::vector<std::vector<ColorSet>> recover_schedule(
-    const proto::SdsChain& chain, int level, std::span<const topo::VertexId> facet,
-    topo::Simplex* base_facet = nullptr);
-
-/// Enumerates every distinct run carried by level `level` of `chain`
-/// restricted to the facets of `facets_arena` (pass chain.arena(level) for
-/// the whole level): full-information runs plus every crash embedding.
-/// fn(run, survivors) gets the survivor simplex in `facets_arena` vertex
-/// ids; runs with no survivor are skipped.  Runs are deduplicated by
-/// signature PER FACET (the same run surfaces from several facets when
-/// crashed colors' trailing singletons permute; the caller's set union
-/// handles that).
-void for_each_run(const proto::SdsChain& chain, int level,
-                  const topo::Arena& facets_arena,
-                  const std::function<void(const RunDesc&,
-                                           const topo::Simplex&)>& fn);
 
 /// Derives the admissible subcomplex of chain level `level` under `model`
 /// by pruning the level's arena (see file comment).

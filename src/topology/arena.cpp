@@ -1,5 +1,6 @@
 #include "topology/arena.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <stdexcept>
@@ -7,26 +8,12 @@
 #include <unordered_map>
 
 #include "common/assert.hpp"
-#include "topology/hash.hpp"
 
 namespace wfc::topo {
 
 namespace {
 
 constexpr std::uint64_t align8(std::uint64_t n) { return (n + 7) & ~7ull; }
-
-/// Content hash for face dedup during build (never serialized).
-struct SimplexHash {
-  std::size_t operator()(const Simplex& s) const noexcept {
-    std::uint64_t h = kFnvOffset;
-    for (VertexId v : s) {
-      for (int b = 0; b < 4; ++b) {
-        h = (h ^ ((v >> (8 * b)) & 0xffu)) * kFnvPrime;
-      }
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
 
 /// CSR accumulator: an index array of element offsets plus a flat pool.
 template <typename T>
@@ -105,6 +92,7 @@ Arena Arena::build(const ChromaticComplex& c) {
   Csr<std::uint32_t> face_bcs;
   std::unordered_map<Simplex, std::uint32_t, SimplexHash> seen;
   Simplex face;
+  Simplex face_bc;
   for (const Simplex& f : c.facets()) {
     const std::size_t k = f.size();
     WFC_CHECK(k <= 24, "arena: facet too large to enumerate");
@@ -114,11 +102,19 @@ Arena Arena::build(const ChromaticComplex& c) {
       for (std::size_t i = 0; i < k; ++i) {
         if ((mask >> i) & 1u) face.push_back(f[i]);
       }
-      if (!seen.emplace(face, static_cast<std::uint32_t>(seen.size())).second) {
+      if (!seen.try_emplace(face, static_cast<std::uint32_t>(seen.size()))
+               .second) {
         continue;
       }
       faces.add(std::span<const std::uint32_t>(face));
-      face_bcs.add(std::span<const std::uint32_t>(c.base_carrier_of(face)));
+      face_bc.clear();  // c.base_carrier_of(face), without allocating
+      for (VertexId v : face) {
+        const Simplex& vbc = c.vertex(v).base_carrier;
+        face_bc.insert(face_bc.end(), vbc.begin(), vbc.end());
+      }
+      std::sort(face_bc.begin(), face_bc.end());
+      face_bc.erase(std::unique(face_bc.begin(), face_bc.end()), face_bc.end());
+      face_bcs.add(std::span<const std::uint32_t>(face_bc));
     }
   }
   const std::uint32_t n_faces = static_cast<std::uint32_t>(faces.idx.size() - 1);

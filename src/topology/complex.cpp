@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <sstream>
+#include <charconv>
+
+#include "topology/hash.hpp"
 
 namespace wfc::topo {
 
@@ -12,15 +14,22 @@ Simplex make_simplex(std::vector<VertexId> verts) {
   return verts;
 }
 
+std::size_t SimplexHash::operator()(
+    std::span<const VertexId> s) const noexcept {
+  std::uint64_t h = kFnvOffset;
+  for (VertexId v : s) h = (h ^ v) * kFnvPrime;
+  return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
 std::string to_string(const Simplex& s) {
-  std::ostringstream os;
-  os << '[';
+  std::string out = "[";
+  char buf[16];
   for (std::size_t i = 0; i < s.size(); ++i) {
-    if (i) os << ' ';
-    os << s[i];
+    if (i) out += ' ';
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), s[i]).ptr);
   }
-  os << ']';
-  return os.str();
+  out += ']';
+  return out;
 }
 
 ChromaticComplex::ChromaticComplex(int n_colors) : n_colors_(n_colors) {
@@ -34,9 +43,9 @@ VertexId ChromaticComplex::add_vertex(Color color, std::string key,
                                       std::optional<Simplex> base_carrier) {
   WFC_REQUIRE(color >= 0 && color < n_colors_, "add_vertex: bad color");
   WFC_REQUIRE(carrier.subset_of(all_colors()), "add_vertex: bad carrier");
-  WFC_REQUIRE(!key_index_.contains(key), "add_vertex: duplicate key " + key);
   const VertexId id = static_cast<VertexId>(vertices_.size());
-  key_index_.emplace(key, id);
+  const bool fresh = key_index_.try_emplace(key, id).second;
+  WFC_REQUIRE(fresh, "add_vertex: duplicate key " + key);
   Simplex bc = base_carrier.has_value() ? std::move(*base_carrier)
                                         : Simplex{id};
   vertices_.push_back(VertexData{color, std::move(key), carrier,
@@ -46,7 +55,7 @@ VertexId ChromaticComplex::add_vertex(Color color, std::string key,
 }
 
 VertexId ChromaticComplex::find_vertex(std::string_view key) const {
-  auto it = key_index_.find(std::string(key));
+  auto it = key_index_.find(key);
   return it == key_index_.end() ? kNoVertex : it->second;
 }
 
@@ -78,12 +87,12 @@ std::size_t ChromaticComplex::add_facet(Simplex facet) {
                 "add_facet: chromatic complexes need distinct colors");
     colors = colors.with(c);
   }
-  std::string key = to_string(facet);
-  if (auto it = facet_index_.find(key); it != facet_index_.end()) {
-    return it->second;
+  const std::size_t hash = SimplexHash{}(facet);
+  for (auto [it, end] = facet_index_.equal_range(hash); it != end; ++it) {
+    if (facets_[it->second] == facet) return it->second;
   }
   const auto idx = static_cast<std::uint32_t>(facets_.size());
-  facet_index_.emplace(std::move(key), idx);
+  facet_index_.emplace(hash, idx);
   for (VertexId v : facet) vertex_facets_[v].push_back(idx);
   facets_.push_back(std::move(facet));
   return idx;

@@ -18,12 +18,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -39,6 +41,12 @@ using Simplex = std::vector<VertexId>;
 
 /// Sorts and deduplicates a vertex list into canonical simplex form.
 Simplex make_simplex(std::vector<VertexId> verts);
+
+/// FNV-1a over a simplex's vertex ids, one id per step: the hash of face
+/// and facet dedupe tables (never serialized).
+struct SimplexHash {
+  std::size_t operator()(std::span<const VertexId> s) const noexcept;
+};
 
 struct VertexData {
   Color color = 0;
@@ -142,8 +150,17 @@ class ChromaticComplex {
   int n_colors_;
   std::vector<VertexData> vertices_;
   std::vector<Simplex> facets_;
-  std::unordered_map<std::string, VertexId> key_index_;
-  std::unordered_map<std::string, std::uint32_t> facet_index_;  // dedupe
+  /// Heterogeneous lookup: find_vertex(string_view) builds no string.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view k) const noexcept {
+      return std::hash<std::string_view>{}(k);
+    }
+  };
+  std::unordered_map<std::string, VertexId, KeyHash, std::equal_to<>>
+      key_index_;
+  /// Facet dedupe: SimplexHash of a facet -> indices of facets with it.
+  std::unordered_multimap<std::size_t, std::uint32_t> facet_index_;
   std::vector<std::vector<std::uint32_t>> vertex_facets_;
 };
 
@@ -156,9 +173,8 @@ std::string to_string(const Simplex& s);
 
 template <typename Fn>
 void ChromaticComplex::for_each_face(Fn&& fn) const {
-  // Each face is emitted from the lexicographically-least facet containing
-  // it; a hash set would also work but this avoids allocation churn.
-  std::unordered_map<std::string, bool> seen;
+  // Each face is emitted from the first facet containing it.
+  std::unordered_set<Simplex, SimplexHash> seen;
   for (const Simplex& f : facets_) {
     const std::size_t k = f.size();
     WFC_CHECK(k <= 24, "for_each_face: facet too large to enumerate");
@@ -168,8 +184,7 @@ void ChromaticComplex::for_each_face(Fn&& fn) const {
       for (std::size_t i = 0; i < k; ++i) {
         if ((mask >> i) & 1u) face.push_back(f[i]);
       }
-      std::string key = to_string(face);
-      if (seen.emplace(std::move(key), true).second) fn(face);
+      if (seen.insert(face).second) fn(face);
     }
   }
 }

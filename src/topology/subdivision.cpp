@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <sstream>
+#include <charconv>
 
 #include "topology/ordered_partition.hpp"
 
@@ -53,13 +53,14 @@ std::uint64_t fubini(int k) {
 }
 
 std::string sds_vertex_key(Color color, const Simplex& view) {
-  std::ostringstream os;
-  os << color << '@';
+  char buf[16];
+  std::string key(buf, std::to_chars(buf, buf + sizeof(buf), color).ptr);
+  key += '@';
   for (std::size_t i = 0; i < view.size(); ++i) {
-    if (i) os << ',';
-    os << view[i];
+    if (i) key += ',';
+    key.append(buf, std::to_chars(buf, buf + sizeof(buf), view[i]).ptr);
   }
-  return os.str();
+  return key;
 }
 
 ChromaticComplex standard_chromatic_subdivision(const ChromaticComplex& c) {
@@ -96,17 +97,36 @@ ChromaticComplex standard_chromatic_subdivision(const ChromaticComplex& c) {
                           std::move(coords), c.base_carrier_of(sigma));
   };
 
+  // The SDS vertices over one facet, by (own position, view as a mask of
+  // positions): each is interned once per facet, not once per SDS facet
+  // that contains it.
+  std::vector<VertexId> local;
+  Simplex sigma;
   for (const Simplex& facet : c.facets()) {
     const int k = static_cast<int>(facet.size());
+    local.clear();
     for_each_ordered_partition(k, [&](const OrderedPartition& blocks) {
+      // Sized here, once k has passed the enumerator's range check.
+      if (local.empty()) {
+        local.assign(static_cast<std::size_t>(k) << k, kNoVertex);
+      }
       Simplex sds_facet;
       sds_facet.reserve(facet.size());
-      Simplex prefix;  // union of blocks so far, canonical
+      std::uint32_t prefix = 0;  // positions in the blocks so far
       for (const std::vector<int>& block : blocks) {
-        for (int pos : block) prefix.push_back(facet[static_cast<std::size_t>(pos)]);
-        std::sort(prefix.begin(), prefix.end());
+        for (int pos : block) prefix |= 1u << pos;
         for (int pos : block) {
-          sds_facet.push_back(intern(facet[static_cast<std::size_t>(pos)], prefix));
+          VertexId& v = local[(static_cast<std::size_t>(pos) << k) | prefix];
+          if (v == kNoVertex) {
+            sigma.clear();  // canonical: facets are sorted
+            for (int i = 0; i < k; ++i) {
+              if ((prefix >> i) & 1u) {
+                sigma.push_back(facet[static_cast<std::size_t>(i)]);
+              }
+            }
+            v = intern(facet[static_cast<std::size_t>(pos)], sigma);
+          }
+          sds_facet.push_back(v);
         }
       }
       out.add_facet(make_simplex(std::move(sds_facet)));
