@@ -115,7 +115,8 @@ std::int64_t int_or(const std::string& text, std::int64_t fallback) {
 std::int64_t int_or(const svc::Fields& fields, const char* key,
                     std::int64_t fallback) {
   const auto it = fields.find(key);
-  return it == fields.end() ? fallback : int_or(it->second, fallback);
+  return it == fields.end() ? fallback
+                            : int_or(std::string(it->second), fallback);
 }
 
 }  // namespace
@@ -1307,8 +1308,7 @@ std::string Router::control(std::string_view line, int line_no) {
   if (read.kind != svc::RequestLine::Kind::kRequest) return read.error;
   const svc::Fields& fields = read.fields;
   const std::string& op = read.op;
-  const auto id_it = fields.find("id");
-  const std::string id = id_it == fields.end() ? "" : id_it->second;
+  const std::string id(fields.get("id"));
   if (op == "cluster_stats") return render_cluster_stats(id);
   if (op == "info") return render_info(id);
   if (op == "metrics") return render_metrics(id);
@@ -1497,9 +1497,7 @@ std::string Router::render_metrics(const std::string& id) {
 
 std::string Router::render_store_op(const svc::Fields& fields,
                                     const std::string& id, int line_no) {
-  const auto action_it = fields.find("action");
-  const std::string action =
-      action_it == fields.end() ? "stats" : action_it->second;
+  const std::string action(fields.get("action", "stats"));
   if (action != "stats" && action != "warm" && action != "shed" &&
       action != "pin" && action != "unpin" && action != "publish") {
     return svc::error_record(id, line_no, svc::Status::kInvalidArgument,
@@ -1564,9 +1562,7 @@ std::string Router::render_store_op(const svc::Fields& fields,
       shard_rows.field(prefix + "status", "unparseable");
       continue;
     }
-    const auto status_it = reply.find("status");
-    const std::string status =
-        status_it == reply.end() ? "missing" : status_it->second;
+    const std::string status(reply.get("status", "missing"));
     shard_rows.field(prefix + "status", status);
     if (status != svc::to_json_token(svc::Status::kOk)) {
       ++shards_failed;
@@ -1579,7 +1575,7 @@ std::string Router::render_store_op(const svc::Fields& fields,
     for (const char* key : kSummed) {
       if (const auto it = reply.find(key); it != reply.end()) {
         totals[key] += static_cast<std::uint64_t>(
-            std::strtoull(it->second.c_str(), nullptr, 10));
+            std::strtoull(std::string(it->second).c_str(), nullptr, 10));
       }
     }
   }
@@ -1612,14 +1608,13 @@ std::string Router::render_store_op(const svc::Fields& fields,
 
 std::string Router::render_membership_op(const svc::Fields& fields,
                                          const std::string& op) {
-  const auto id_it = fields.find("id");
-  const std::string id = id_it == fields.end() ? "" : id_it->second;
+  const std::string id(fields.get("id"));
   const auto shard_it = fields.find("shard");
   if (shard_it == fields.end() || shard_it->second.empty()) {
     return svc::error_record(id, 0, svc::Status::kInvalidArgument,
                              op + ": missing \"shard\"");
   }
-  const std::string& shard = shard_it->second;
+  const std::string shard(shard_it->second);
   bool ok = false;
   if (op == "cluster_add") {
     const auto host_it = fields.find("host");

@@ -29,16 +29,18 @@ std::int64_t int_or(const svc::Fields& fields, const char* key,
                     std::int64_t fallback) {
   const auto it = fields.find(key);
   if (it == fields.end()) return fallback;
+  const std::string text(it->second);
   char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
+  const long long v = std::strtoll(text.c_str(), &end, 10);
   return (end != nullptr && *end == '\0') ? v : fallback;
 }
 
 double double_or(const svc::Fields& fields, const char* key, double fallback) {
   const auto it = fields.find(key);
   if (it == fields.end()) return fallback;
+  const std::string text(it->second);
   char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
+  const double v = std::strtod(text.c_str(), &end);
   return (end != nullptr && *end == '\0') ? v : fallback;
 }
 
@@ -633,10 +635,10 @@ std::string ChaosProxy::handle_fault(const svc::Fields& fields,
                                  std::string(fault_mode_name(mode)) +
                                  "\" needs a positive parameter");
   }
-  if (!set_fault(link_it->second, spec)) {
+  const std::string link(link_it->second);
+  if (!set_fault(link, spec)) {
     return svc::error_record(id, 0, svc::Status::kInvalidArgument,
-                             "fault: unknown link \"" + link_it->second +
-                                 "\"");
+                             "fault: unknown link \"" + link + "\"");
   }
   svc::JsonWriter w;
   if (!id.empty()) w.field("id", id);

@@ -79,8 +79,7 @@ bool line_takes_model(const std::string& line) {
   } catch (const std::exception&) {
     return false;
   }
-  const auto op_it = fields.find("op");
-  const std::string op = op_it == fields.end() ? "" : op_it->second;
+  const std::string_view op = fields.get("op");
   if (op == "solve" || op == "convergence") return true;
   if (op == "check") {
     const auto target = fields.find("target");

@@ -3,11 +3,15 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/version.hpp"
 #include "model/model.hpp"
@@ -18,48 +22,38 @@ namespace wfc::svc {
 
 namespace {
 
-int int_field(const Fields& fields, const std::string& key,
+int int_field(const Fields& fields, std::string_view key,
               std::optional<int> fallback = std::nullopt) {
   auto it = fields.find(key);
   if (it == fields.end()) {
     if (fallback) return *fallback;
-    throw std::invalid_argument("missing field \"" + key + "\"");
+    throw std::invalid_argument("missing field \"" + std::string(key) + "\"");
   }
+  const std::string text(it->second);
   try {
     std::size_t pos = 0;
-    const int value = std::stoi(it->second, &pos);
-    if (pos != it->second.size()) throw std::invalid_argument(it->second);
+    const int value = std::stoi(text, &pos);
+    if (pos != text.size()) throw std::invalid_argument(text);
     return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("field \"" + key + "\" is not an integer: " +
-                                it->second);
+    throw std::invalid_argument("field \"" + std::string(key) +
+                                "\" is not an integer: " + text);
   }
 }
 
-std::string string_field(const Fields& fields, const std::string& key,
-                         const std::string& fallback = "") {
-  auto it = fields.find(key);
-  return it == fields.end() ? fallback : it->second;
+std::string string_field(const Fields& fields, std::string_view key,
+                         std::string_view fallback = "") {
+  return std::string(fields.get(key, fallback));
 }
 
 /// Boolean field: accepts the JSON true/false tokens (parse_flat_json
 /// passes them through as bare strings) as well as 0/1 integers.
-bool bool_field(const Fields& fields, const std::string& key, bool fallback) {
+bool bool_field(const Fields& fields, std::string_view key, bool fallback) {
   auto it = fields.find(key);
   if (it == fields.end()) return fallback;
   if (it->second == "true") return true;
   if (it->second == "false") return false;
   return int_field(fields, key) != 0;
-}
-
-/// The optional "model" field (wfc::model wire names).  wait_free -- the
-/// default -- normalizes to null so model-less requests stay bit-for-bit
-/// on the pre-model code path.  Unknown names throw std::invalid_argument.
-std::shared_ptr<const model::Model> model_field(const Fields& fields) {
-  const std::string name = string_field(fields, "model");
-  if (name.empty()) return nullptr;
-  std::shared_ptr<const model::Model> m = model::Model::parse(name);
-  return m->is_wait_free() ? nullptr : m;
 }
 
 /// Iterated-SDS towers grow exponentially with "depth" and are constructed
@@ -73,20 +67,40 @@ void check_depth_cap(const Fields& fields, int max_depth) {
   }
 }
 
-QueryOptions parse_query_options(const Fields& fields, int default_max_level) {
-  QueryOptions options;
-  options.max_level = int_field(fields, "max_level", default_max_level);
-  if (auto it = fields.find("budget"); it != fields.end()) {
-    try {
-      options.node_budget = std::stoull(it->second);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("field \"budget\" is not an integer: " +
-                                  it->second);
-    }
+/// Query option `key` (nullopt when absent): the whole value as a decimal
+/// integer in [0, max].  Anything else -- a sign, a fraction, trailing
+/// text, an overflow -- answers invalid_argument naming the field.
+std::optional<std::uint64_t> option_field(const Fields& fields,
+                                          std::string_view key,
+                                          std::uint64_t max) {
+  const auto it = fields.find(key);
+  if (it == fields.end()) return std::nullopt;
+  const std::string_view text = it->second;
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size() ||
+      value > max) {
+    throw std::invalid_argument("field \"" + std::string(key) +
+                                "\" is not a non-negative integer: " +
+                                std::string(text));
   }
-  if (fields.count("timeout_ms") != 0) {
-    options.timeout = std::chrono::milliseconds(
-        int_field(fields, "timeout_ms"));
+  return value;
+}
+
+QueryOptions parse_query_options(const Fields& fields, int default_max_level) {
+  constexpr auto kIntMax =
+      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+  QueryOptions options;
+  options.max_level = static_cast<int>(
+      option_field(fields, "max_level", kIntMax)
+          .value_or(static_cast<std::uint64_t>(default_max_level)));
+  if (const auto budget = option_field(
+          fields, "budget", std::numeric_limits<std::uint64_t>::max())) {
+    options.node_budget = *budget;
+  }
+  if (const auto timeout = option_field(fields, "timeout_ms", kIntMax)) {
+    options.timeout = std::chrono::milliseconds(*timeout);
   }
   return options;
 }
@@ -96,7 +110,7 @@ QueryOptions parse_query_options(const Fields& fields, int default_max_level) {
 /// exposition agree by construction.  "reconciles" is the invariant the
 /// chaos soak asserts: submitted == terminal == sum of the per-status
 /// counters.
-std::string metrics_line(const std::string& id, const ServiceStats& st) {
+std::string metrics_line(std::string_view id, const ServiceStats& st) {
   JsonWriter w;
   if (!id.empty()) w.field("id", id);
   w.field("op", "metrics").field("status", to_json_token(Status::kOk));
@@ -110,13 +124,13 @@ std::string metrics_line(const std::string& id, const ServiceStats& st) {
   w.field("memo_hits", st.result_hits);
   w.field("stats_submitted", st.submitted);
   w.field("reconciles", st.reconciles());
-  return w.str();
+  return std::move(w).str();
 }
 
 }  // namespace
 
 std::shared_ptr<task::Task> make_canonical_task(const Fields& fields) {
-  const std::string kind = string_field(fields, "task");
+  const std::string_view kind = fields.get("task");
   if (kind.empty()) throw std::invalid_argument("missing field \"task\"");
   const int procs = int_field(fields, "procs");
   if (kind == "consensus") {
@@ -143,7 +157,8 @@ std::shared_ptr<task::Task> make_canonical_task(const Fields& fields) {
   if (kind == "identity") {
     return std::make_shared<task::IdentityTask>(topo::base_simplex(procs));
   }
-  throw std::invalid_argument("unknown task kind \"" + kind + "\"");
+  throw std::invalid_argument("unknown task kind \"" + std::string(kind) +
+                              "\"");
 }
 
 namespace {
@@ -163,6 +178,11 @@ RequestHandler::RequestHandler(QueryService& service, HandlerConfig config)
       interned_(decltype(interned_)::Options{
           .max_entries = intern_bound(config_.max_interned_tasks),
           .min_slots = 64,
+          .segments = 4,
+          .keep_hottest = true}),
+      models_(decltype(models_)::Options{
+          .max_entries = intern_bound(config_.max_interned_tasks),
+          .min_slots = 16,
           .segments = 4,
           .keep_hottest = true}) {}
 
@@ -191,7 +211,7 @@ RequestHandler::ParsedLine RequestHandler::parse(std::string_view line,
   if (parsed.fields.count("op") == 0) {
     parsed.action = Action::kRespond;
     parsed.immediate = {
-        error_record(string_field(parsed.fields, "id"), line_no,
+        error_record(parsed.fields.get("id"), line_no,
                      Status::kInvalidArgument, "missing field \"op\""),
         true};
     return parsed;
@@ -203,21 +223,34 @@ RequestHandler::ParsedLine RequestHandler::parse(std::string_view line,
     // "task" field on a line whose real problem is a misspelled op.
     parsed.action = Action::kRespond;
     JsonWriter w;
-    const std::string id = string_field(parsed.fields, "id");
+    const std::string_view id = parsed.fields.get("id");
     if (!id.empty()) w.field("id", id);
     w.field("op", parsed.op)
         .field("status", to_json_token(Status::kInvalidArgument))
         .field("line", line_no)
         .field("error", "unknown op \"" + parsed.op + "\"");
-    parsed.immediate = {w.str(), true};
+    parsed.immediate = {std::move(w).str(), true};
     return parsed;
   }
   parsed.action = Action::kSubmit;
   return parsed;
 }
 
-std::shared_ptr<task::Task> RequestHandler::intern_task(const Fields& fields) {
-  std::string key;
+namespace {
+
+/// The calling thread's buffer for intern keys: a repeated request builds
+/// its key without allocating.  A key past 4 KiB does not keep its buffer.
+std::string& intern_key_buffer() {
+  thread_local std::string key;
+  key.clear();
+  if (key.capacity() > 4096) key.shrink_to_fit();
+  return key;
+}
+
+}  // namespace
+
+RequestHandler::InternedTask RequestHandler::intern_task(const Fields& fields) {
+  std::string& key = intern_key_buffer();
   for (const auto& [k, v] : fields) {
     // Skip fields that do not affect the constructed task.  max_level,
     // budget, and model DO affect the verdict, but they are part of the
@@ -229,15 +262,31 @@ std::shared_ptr<task::Task> RequestHandler::intern_task(const Fields& fields) {
     key += v;
     key += ';';
   }
-  std::shared_ptr<task::Task> hit;
+  InternedTask hit;
   if (interned_.lookup(key, &hit)) return hit;
   // Construct BEFORE touching the index: large tasks (iterated-SDS towers)
   // are expensive to build, and the lock-free insert below keeps the table
   // consistent if concurrent twins race -- the first writer wins and every
   // twin adopts its object, preserving one identity for the result memo.
-  std::shared_ptr<task::Task> task = make_canonical_task(fields);
-  auto handle = interned_.get_or_insert(key, [&] { return task; });
+  InternedTask made;
+  made.task = make_canonical_task(fields);
+  made.label = std::make_shared<const std::string>(made.task->name());
+  auto handle = interned_.get_or_insert(key, [&] { return made; });
   return *handle;
+}
+
+std::shared_ptr<const model::Model> RequestHandler::intern_model(
+    const Fields& fields) {
+  const std::string_view name = fields.get("model");
+  if (name.empty()) return nullptr;
+  std::string& key = intern_key_buffer();
+  key += name;
+  std::shared_ptr<const model::Model> m;
+  if (!models_.lookup(key, &m)) {
+    std::shared_ptr<const model::Model> parsed = model::Model::parse(key);
+    m = *models_.get_or_insert(key, [&] { return parsed; });
+  }
+  return m->is_wait_free() ? nullptr : m;
 }
 
 std::size_t RequestHandler::interned_tasks() { return interned_.size(); }
@@ -247,21 +296,21 @@ std::pair<Query, RequestHandler::ResponseMeta> RequestHandler::build_query(
   const Fields& fields = parsed.fields;
   check_depth_cap(fields, config_.max_task_depth);
   ResponseMeta meta;
-  meta.id = string_field(fields, "id");
-  std::shared_ptr<const model::Model> model = model_field(fields);
-  if (model != nullptr) meta.model = model->name();
+  meta.id = fields.get("id");
+  std::shared_ptr<const model::Model> model = intern_model(fields);
+  meta.model = model;
   Query query;
   query.options = parse_query_options(fields, config_.default_max_level);
   if (parsed.op == "solve") {
-    std::shared_ptr<task::Task> task = intern_task(fields);
-    meta.label = task->name();
-    query.request = SolveRequest{std::move(task), std::move(model)};
+    InternedTask interned = intern_task(fields);
+    meta.label = std::move(interned.label);
+    query.request = SolveRequest{std::move(interned.task), std::move(model)};
   } else if (parsed.op == "convergence") {
     const int procs = int_field(fields, "procs");
     const int depth = int_field(fields, "depth");
     auto agreement = std::make_shared<task::SimplexAgreementTask>(
         procs, topo::iterated_sds(topo::base_simplex(procs), depth));
-    meta.label = agreement->name();
+    meta.label = std::make_shared<const std::string>(agreement->name());
     query.request = ConvergenceRequest{std::move(agreement), std::move(model)};
   } else if (parsed.op == "emulate") {
     if (model != nullptr) {
@@ -272,8 +321,9 @@ std::pair<Query, RequestHandler::ResponseMeta> RequestHandler::build_query(
     EmulateRequest emu;
     emu.procs = int_field(fields, "procs");
     emu.shots = int_field(fields, "shots", 1);
-    meta.label = "emulate(procs=" + std::to_string(emu.procs) +
-                 ",shots=" + std::to_string(emu.shots) + ")";
+    meta.label = std::make_shared<const std::string>(
+        "emulate(procs=" + std::to_string(emu.procs) +
+        ",shots=" + std::to_string(emu.shots) + ")");
     meta.is_emulate = true;
     query.request = emu;
   } else {  // "check" (parse() rejected every other op)
@@ -298,9 +348,10 @@ std::pair<Query, RequestHandler::ResponseMeta> RequestHandler::build_query(
                                   "\" does not take a model");
     }
     check.model = std::move(model);
-    meta.label = "check(" + target + ",procs=" + std::to_string(check.procs) +
-                 ",rounds=" + std::to_string(check.rounds) +
-                 ",crashes=" + std::to_string(check.crashes) + ")";
+    meta.label = std::make_shared<const std::string>(
+        "check(" + target + ",procs=" + std::to_string(check.procs) +
+        ",rounds=" + std::to_string(check.rounds) +
+        ",crashes=" + std::to_string(check.crashes) + ")");
     meta.is_check = true;
     query.request = check;
   }
@@ -316,7 +367,7 @@ std::optional<RequestHandler::Submitted> RequestHandler::submit(
     submitted.ticket = service_.submit(std::move(query));
     return submitted;
   } catch (const std::exception& e) {
-    *error = {error_record(string_field(parsed.fields, "id"), parsed.line_no,
+    *error = {error_record(parsed.fields.get("id"), parsed.line_no,
                            Status::kInvalidArgument, e.what()),
               true};
     return std::nullopt;
@@ -335,7 +386,7 @@ bool RequestHandler::submit_async(const ParsedLine& parsed,
                     });
     return true;
   } catch (const std::exception& e) {
-    *error = {error_record(string_field(parsed.fields, "id"), parsed.line_no,
+    *error = {error_record(parsed.fields.get("id"), parsed.line_no,
                            Status::kInvalidArgument, e.what()),
               true};
     return false;
@@ -346,10 +397,10 @@ RequestHandler::Rendered RequestHandler::render(
     const ResponseMeta& meta, const QueryResult& result) const {
   JsonWriter w;
   if (!meta.id.empty()) w.field("id", meta.id);
-  w.field("task", meta.label);
+  w.field("task", meta.label != nullptr ? *meta.label : std::string_view());
   // Echoed only when a non-wait-free model was requested, so model-less
   // responses stay byte-for-byte what they were before wfc::model.
-  if (!meta.model.empty()) w.field("model", meta.model);
+  if (meta.model != nullptr) w.field("model", meta.model->name());
   if (result.status != Status::kOk) {
     // Non-kOk terminal statuses use the lowercase taxonomy tokens
     // (status.hpp) in BOTH envelopes; retryable ones carry the service's
@@ -392,7 +443,7 @@ RequestHandler::Rendered RequestHandler::render(
   }
   if (result.degraded) w.field("degraded", true);
   w.field("micros", result.micros);
-  return {w.str(), result.status != Status::kOk};
+  return {std::move(w).str(), result.status != Status::kOk};
 }
 
 RequestHandler::Rendered RequestHandler::control(const ParsedLine& parsed) {

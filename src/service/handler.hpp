@@ -116,10 +116,11 @@ class RequestHandler {
   /// Everything render() needs once the query completes.
   struct ResponseMeta {
     std::string id;
-    std::string label;  // task name or op description
-    /// Canonical model name when a non-wait-free "model" was requested
-    /// (echoed back in the response); empty otherwise.
-    std::string model;
+    /// Task name or op description; a solve's is the intern table's copy.
+    std::shared_ptr<const std::string> label;
+    /// The requested model when it is not wait-free (its canonical name is
+    /// echoed back in the response); null otherwise.
+    std::shared_ptr<const model::Model> model;
     bool is_emulate = false;
     bool is_check = false;
   };
@@ -138,7 +139,8 @@ class RequestHandler {
   /// line exactly once.  It may run inline on this thread (memo hits, load
   /// sheds) or later on a service worker thread; it must not throw and
   /// should only enqueue.  Returns false with *error set when the query
-  /// could not be built (nothing submitted, `done` never called).
+  /// could not be built (nothing submitted, `done` never called).  A memo
+  /// hit is parsed, answered and rendered without a service Job.
   bool submit_async(const ParsedLine& parsed,
                     std::function<void(Rendered&&)> done, Rendered* error);
 
@@ -168,19 +170,31 @@ class RequestHandler {
   /// std::invalid_argument on malformed parameters.
   [[nodiscard]] std::pair<Query, ResponseMeta> build_query(
       const ParsedLine& parsed);
+  /// An interned task with its label (Task::name(), formatted once).
+  struct InternedTask {
+    std::shared_ptr<task::Task> task;
+    std::shared_ptr<const std::string> label;
+  };
   /// Canonical tasks are pure functions of their request fields, so
   /// repeated lines share ONE task object -- which is what the service's
   /// result memo keys on.  Thread-safe; the table is a lock-free CLOCK
   /// cache bounded by max_interned_tasks, so transport threads never
   /// serialize on an intern mutex.
-  [[nodiscard]] std::shared_ptr<task::Task> intern_task(const Fields& fields);
+  [[nodiscard]] InternedTask intern_task(const Fields& fields);
+  /// The optional "model" field: parsed once per wire name and interned
+  /// under the same bound as tasks.  wait_free -- the default -- is null,
+  /// so model-less requests stay bit-for-bit on the pre-model code path.
+  /// Unknown names throw std::invalid_argument.
+  [[nodiscard]] std::shared_ptr<const model::Model> intern_model(
+      const Fields& fields);
 
   QueryService& service_;
   HandlerConfig config_;
   /// {"op":"info"} uptime reference: when this handler (in practice, the
   /// transport) came up.
   std::chrono::steady_clock::time_point started_;
-  wf::ClockCache<std::string, std::shared_ptr<task::Task>> interned_;
+  wf::ClockCache<std::string, InternedTask> interned_;
+  wf::ClockCache<std::string, std::shared_ptr<const model::Model>> models_;
 };
 
 }  // namespace wfc::svc

@@ -1,9 +1,12 @@
 #include "service/jsonl.hpp"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <cstring>
+#include <new>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace wfc::svc {
 
@@ -180,33 +183,136 @@ bool FlatJsonScanner::next(Member* member) {
   return true;
 }
 
-std::string unescape_json(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
+namespace {
+
+/// Writes the text `raw` stands for at `out` (at most raw.size() bytes);
+/// returns the bytes written.
+std::size_t unescape_to(char* out, std::string_view raw) {
+  if (raw.empty()) return 0;
+  char* const start = out;
   std::size_t from = 0;
   for (std::size_t esc; (esc = raw.find('\\', from)) != std::string_view::npos &&
                         esc + 1 < raw.size();
        from = esc + 2) {
-    out.append(raw.substr(from, esc - from));
+    std::memcpy(out, raw.data() + from, esc - from);
+    out += esc - from;
     switch (raw[esc + 1]) {
-      case 'n': out.push_back('\n'); break;
-      case 't': out.push_back('\t'); break;
-      case 'r': out.push_back('\r'); break;
-      default: out.push_back(raw[esc + 1]);  // '"', '\\' or '/'
+      case 'n': *out++ = '\n'; break;
+      case 't': *out++ = '\t'; break;
+      case 'r': *out++ = '\r'; break;
+      default: *out++ = raw[esc + 1];  // '"', '\\' or '/'
     }
   }
-  out.append(raw.substr(from));
+  std::memcpy(out, raw.data() + from, raw.size() - from);
+  return static_cast<std::size_t>(out - start) + (raw.size() - from);
+}
+
+}  // namespace
+
+std::string unescape_json(std::string_view raw) {
+  std::string out(raw.size(), '\0');
+  out.resize(unescape_to(out.data(), raw));
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Fields.
+
+const Fields::Member* Fields::members() const {
+  if (block_ == nullptr) return nullptr;
+  return std::launder(reinterpret_cast<const Member*>(block_.get()));
+}
+
+Fields::Fields(Fields&& other) noexcept
+    : block_(std::move(other.block_)), size_(std::exchange(other.size_, 0)) {}
+
+Fields& Fields::operator=(Fields&& other) noexcept {
+  block_ = std::move(other.block_);
+  size_ = std::exchange(other.size_, 0);
+  return *this;
+}
+
+Fields::const_iterator Fields::find(std::string_view key) const {
+  const auto it = std::lower_bound(
+      begin(), end(), key,
+      [](const Member& m, std::string_view k) { return m.first < k; });
+  return it != end() && it->first == key ? it : end();
+}
+
+std::string_view Fields::at(std::string_view key) const {
+  const auto it = find(key);
+  if (it == end()) {
+    throw std::out_of_range("Fields::at: no field \"" + std::string(key) +
+                            "\"");
+  }
+  return it->second;
+}
+
+std::string_view Fields::get(std::string_view key,
+                             std::string_view fallback) const {
+  const auto it = find(key);
+  return it == end() ? fallback : it->second;
+}
+
 Fields parse_flat_json(std::string_view line) {
-  Fields out;
+  using Member = Fields::Member;
+  // One walk collects the raw members (views into `line`) and bounds the
+  // unescaped text; short objects stay in the inline table.
+  constexpr std::size_t kInline = 16;
+  std::array<FlatJsonScanner::Member, kInline> inline_raw;
+  std::vector<FlatJsonScanner::Member> spill;
+  std::size_t n = 0;
+  std::size_t text = 0;
   FlatJsonScanner scan(line);
   FlatJsonScanner::Member m;
   while (scan.next(&m)) {
-    out[unescape_json(m.key)] =
-        m.quoted ? unescape_json(m.value) : std::string(m.value);
+    if (n == kInline) spill.assign(inline_raw.begin(), inline_raw.end());
+    if (n < kInline) {
+      inline_raw[n] = m;
+    } else {
+      spill.push_back(m);
+    }
+    ++n;
+    text += m.key.size() + m.value.size() + 2;
   }
+  Fields out;
+  if (n == 0) return out;
+  const FlatJsonScanner::Member* raw =
+      n <= kInline ? inline_raw.data() : spill.data();
+
+  // The one allocation: n members, then each key and value unescaped and
+  // NUL-terminated.  The terminators keep every key at its own address, so
+  // the address orders equal keys by position in the line.
+  out.block_ = std::make_unique_for_overwrite<std::byte[]>(
+      n * sizeof(Member) + text);
+  auto* members = reinterpret_cast<Member*>(out.block_.get());
+  char* cursor = reinterpret_cast<char*>(members + n);
+  const auto put = [&cursor](std::string_view raw_text, bool escaped) {
+    std::size_t size = raw_text.size();
+    if (escaped) {
+      size = unescape_to(cursor, raw_text);
+    } else {
+      std::memcpy(cursor, raw_text.data(), size);
+    }
+    const std::string_view view(cursor, size);
+    cursor += size;
+    *cursor++ = '\0';
+    return view;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string_view key = put(raw[i].key, true);
+    new (members + i) Member{key, put(raw[i].value, raw[i].quoted)};
+  }
+  // Key order, the later of two equal keys first; unique() then keeps it.
+  std::sort(members, members + n, [](const Member& a, const Member& b) {
+    return a.first < b.first ||
+           (a.first == b.first && a.first.data() > b.first.data());
+  });
+  const Member* last =
+      std::unique(members, members + n, [](const Member& a, const Member& b) {
+        return a.first == b.first;
+      });
+  out.size_ = static_cast<std::size_t>(last - members);
   return out;
 }
 
@@ -235,9 +341,7 @@ RequestLine read_request(std::string_view line, int line_no,
     return out;
   }
   out.kind = RequestLine::Kind::kRequest;
-  if (const auto it = out.fields.find("op"); it != out.fields.end()) {
-    out.op = it->second;
-  }
+  out.op = out.fields.get("op");
   return out;
 }
 
@@ -250,7 +354,7 @@ std::string error_record(std::string_view id, int line_no, Status status,
       .field("line", line_no)
       .field("error", message);
   if (retry_after_ms > 0) w.field("retry_after_ms", retry_after_ms);
-  return w.str();
+  return std::move(w).str();
 }
 
 bool is_control_op(std::string_view op) {
@@ -316,52 +420,99 @@ std::string replace_id(std::string_view line, std::string_view id) {
   return out;
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+namespace {
+
+/// Appends `s` JSON-escaped: runs that need no escape go in one append.
+void append_escaped(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        const char u[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 15]};
+        out.append(u, sizeof u);
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+template <typename Int>
+void append_int(std::string& out, Int value) {
+  char digits[24];
+  const auto [end, ec] = std::to_chars(digits, digits + sizeof digits, value);
+  (void)ec;  // 24 digits hold any 64-bit integer
+  out.append(digits, end);
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_escaped(out, s);
   return out;
 }
 
-JsonWriter& JsonWriter::raw(std::string_view key, std::string_view rendered) {
-  if (!body_.empty()) body_ += ",";
-  body_ += "\"";
-  body_ += json_escape(key);
-  body_ += "\":";
-  body_ += rendered;
-  return *this;
+JsonWriter::JsonWriter() {
+  // One buffer sized for a typical response line.
+  out_.reserve(192);
+  out_ += '{';
+}
+
+void JsonWriter::key(std::string_view key) {
+  if (out_.size() > 1) out_ += ',';
+  out_ += '"';
+  append_escaped(out_, key);
+  out_ += "\":";
 }
 
 JsonWriter& JsonWriter::field(std::string_view key, std::string_view value) {
-  return raw(key, "\"" + json_escape(value) + "\"");
+  this->key(key);
+  out_ += '"';
+  append_escaped(out_, value);
+  out_ += '"';
+  return *this;
 }
 
 JsonWriter& JsonWriter::field(std::string_view key, std::int64_t value) {
-  return raw(key, std::to_string(value));
+  this->key(key);
+  append_int(out_, value);
+  return *this;
 }
 
 JsonWriter& JsonWriter::field(std::string_view key, std::uint64_t value) {
-  return raw(key, std::to_string(value));
+  this->key(key);
+  append_int(out_, value);
+  return *this;
 }
 
 JsonWriter& JsonWriter::field(std::string_view key, bool value) {
-  return raw(key, value ? "true" : "false");
+  this->key(key);
+  out_ += value ? "true" : "false";
+  return *this;
+}
+
+std::string JsonWriter::str() const& {
+  std::string out;
+  out.reserve(out_.size() + 1);
+  out += out_;
+  out += '}';
+  return out;
+}
+
+std::string JsonWriter::str() && {
+  out_ += '}';
+  return std::move(out_);
 }
 
 }  // namespace wfc::svc

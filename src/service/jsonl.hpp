@@ -17,7 +17,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -25,7 +25,49 @@
 
 namespace wfc::svc {
 
-using Fields = std::map<std::string, std::string>;
+/// One parsed flat JSON object: its members in key order, one per key (a
+/// key given twice keeps its last value), keys and values unescaped.  The
+/// member table and the text it views share one heap block, so filling it
+/// costs one allocation.  The views stay valid while this object lives,
+/// and across a move.
+class Fields {
+ public:
+  struct Member {
+    std::string_view first;   // key
+    std::string_view second;  // value
+  };
+  using const_iterator = const Member*;
+
+  Fields() = default;
+  Fields(const Fields&) = delete;
+  Fields& operator=(const Fields&) = delete;
+  Fields(Fields&& other) noexcept;
+  Fields& operator=(Fields&& other) noexcept;
+  ~Fields() = default;
+
+  [[nodiscard]] const_iterator begin() const { return members(); }
+  [[nodiscard]] const_iterator end() const { return members() + size_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  /// The member named `key`, else end().
+  [[nodiscard]] const_iterator find(std::string_view key) const;
+  [[nodiscard]] std::size_t count(std::string_view key) const {
+    return find(key) == end() ? 0 : 1;
+  }
+  /// The value of `key`; throws std::out_of_range without one.
+  [[nodiscard]] std::string_view at(std::string_view key) const;
+  /// The value of `key`, or `fallback` without one.
+  [[nodiscard]] std::string_view get(std::string_view key,
+                                     std::string_view fallback = {}) const;
+
+ private:
+  friend Fields parse_flat_json(std::string_view line);
+  [[nodiscard]] const Member* members() const;
+
+  std::unique_ptr<std::byte[]> block_;  // size_ members, then their text
+  std::size_t size_ = 0;
+};
 
 /// Parses one flat JSON object, e.g. {"task":"consensus","procs":2}.
 /// Values are returned as raw text (strings unescaped, numbers/booleans
@@ -127,9 +169,13 @@ std::string replace_id(std::string_view line, std::string_view id);
 /// JSON string escaping (quotes, backslash, control characters).
 std::string json_escape(std::string_view s);
 
-/// Builds one flat JSON object field by field.
+/// Builds one flat JSON object field by field, appending into one buffer:
+/// plain runs of a string are copied in bulk and integers written with
+/// std::to_chars.
 class JsonWriter {
  public:
+  JsonWriter();
+
   JsonWriter& field(std::string_view key, std::string_view value);  // string
   JsonWriter& field(std::string_view key, const char* value) {
     return field(key, std::string_view(value));  // keep literals off bool
@@ -142,11 +188,14 @@ class JsonWriter {
   JsonWriter& field(std::string_view key, bool value);
 
   /// The finished object, e.g. {"status":"SOLVABLE","level":1}.
-  [[nodiscard]] std::string str() const { return "{" + body_ + "}"; }
+  [[nodiscard]] std::string str() const&;
+  /// The same, handing over the buffer (the writer is spent).
+  [[nodiscard]] std::string str() &&;
 
  private:
-  JsonWriter& raw(std::string_view key, std::string_view rendered);
-  std::string body_;
+  /// Appends the separator and "key": of the next field.
+  void key(std::string_view key);
+  std::string out_;  // '{' and the fields so far
 };
 
 }  // namespace wfc::svc

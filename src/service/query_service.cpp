@@ -303,7 +303,10 @@ void QueryService::worker_loop() {
   }
 }
 
-QueryTicket QueryService::submit(Query query, CompletionFn on_complete) {
+void QueryService::submit(Query query, CompletionFn on_complete,
+                          std::shared_ptr<std::atomic<bool>> cancel) {
+  WFC_REQUIRE(on_complete != nullptr,
+              "QueryService::submit: no completion callback");
   if (const auto* solve = query.as<SolveRequest>()) {
     WFC_REQUIRE(solve->task != nullptr,
                 "QueryService::submit: solve query without a task");
@@ -314,32 +317,35 @@ QueryTicket QueryService::submit(Query query, CompletionFn on_complete) {
                 "agreement task");
   }
 
-  auto job = std::make_shared<Job>();
-  job->query = std::move(query);
-  job->on_complete = std::move(on_complete);
-  job->cancel = std::make_shared<std::atomic<bool>>(false);
-  job->submitted = std::chrono::steady_clock::now();
-  if (job->query.options.timeout) {
-    job->deadline = job->submitted + *job->query.options.timeout;
-  }
-  job->trace = observer_.begin_trace();
+  const auto submitted = std::chrono::steady_clock::now();
+  const obs::TraceContext trace = observer_.begin_trace();
   if (metrics_.by_kind[0] != nullptr) {
-    metrics_.by_kind[static_cast<int>(job->query.kind())]->inc();
+    metrics_.by_kind[static_cast<int>(query.kind())]->inc();
   }
-  QueryTicket ticket{job->promise.get_future(), job->cancel};
   stats_.inc(kStatSubmitted);
 
   // Fast path: an identical definitive query was answered before -- reply
-  // inline, no worker, no search.
-  if (std::optional<task::SolveResult> memo = memo_lookup(job->query)) {
+  // inline, before any per-query state exists: no Job, no worker, no search.
+  if (std::optional<task::SolveResult> memo = memo_lookup(query)) {
     QueryResult result;
     result.solve = *std::move(memo);
     result.cache_hit = true;
     result.memoized = true;
-    job->trace.instant(obs::SpanKind::kMemoHit);
-    finish(job, std::move(result));
-    return ticket;
+    trace.instant(obs::SpanKind::kMemoHit);
+    complete(submitted, result, on_complete);
+    return;
   }
+
+  auto job = std::make_shared<Job>();
+  job->query = std::move(query);
+  job->on_complete = std::move(on_complete);
+  job->cancel = cancel != nullptr ? std::move(cancel)
+                                  : std::make_shared<std::atomic<bool>>(false);
+  job->submitted = submitted;
+  if (job->query.options.timeout) {
+    job->deadline = job->submitted + *job->query.options.timeout;
+  }
+  job->trace = trace;
 
   {
     std::lock_guard<std::mutex> lock(tokens_mu_);
@@ -354,7 +360,7 @@ QueryTicket QueryService::submit(Query query, CompletionFn on_complete) {
 
   if (!accepting_.load(std::memory_order_relaxed)) {
     finish_without_running(job, Status::kCancelled);
-    return ticket;
+    return;
   }
 
   AdmissionQueue::Entry entry;
@@ -363,11 +369,21 @@ QueryTicket QueryService::submit(Query query, CompletionFn on_complete) {
     finish_without_running(job, status);
   };
   if (queue_.offer(std::move(entry)) == AdmissionQueue::Outcome::kRejected) {
-    // Shed (queue full under kRejectNew) or shutting down: the ticket is
-    // still fulfilled -- load never throws at the submitter.
+    // Shed (queue full under kRejectNew) or shutting down: the query still
+    // completes -- load never throws at the submitter.
     finish_without_running(
         job, queue_.closed() ? Status::kCancelled : Status::kOverloaded);
   }
+}
+
+QueryTicket QueryService::submit(Query query) {
+  auto promise = std::make_shared<std::promise<QueryResult>>();
+  QueryTicket ticket{promise->get_future(),
+                     std::make_shared<std::atomic<bool>>(false)};
+  submit(
+      std::move(query),
+      [promise](const QueryResult& result) { promise->set_value(result); },
+      ticket.cancel);
   return ticket;
 }
 
@@ -390,24 +406,27 @@ void QueryService::finish_without_running(const std::shared_ptr<Job>& job,
 void QueryService::finish(const std::shared_ptr<Job>& job,
                           QueryResult result) {
   if (job->finished.exchange(true, std::memory_order_acq_rel)) return;
+  complete(job->submitted, result, job->on_complete);
+  job->on_complete = nullptr;  // release captures promptly
+}
+
+void QueryService::complete(std::chrono::steady_clock::time_point submitted,
+                            QueryResult& result,
+                            const CompletionFn& on_complete) {
   if (is_retryable(result.status) && result.retry_after_ms == 0) {
     result.retry_after_ms = retry_hint();
   }
   result.micros = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - job->submitted)
+          std::chrono::steady_clock::now() - submitted)
           .count());
   record(result);
-  if (job->on_complete) {
-    // Contractually must not throw; contain a misbehaving continuation so
-    // the ticket's future is ALWAYS fulfilled regardless.
-    try {
-      job->on_complete(result);
-    } catch (...) {
-    }
-    job->on_complete = nullptr;  // release captures promptly
+  // Contractually must not throw; contain a misbehaving continuation so one
+  // bad callback cannot take the worker (or the submitter) down with it.
+  try {
+    on_complete(result);
+  } catch (...) {
   }
-  job->promise.set_value(std::move(result));
 }
 
 std::uint64_t QueryService::degraded_budget(std::uint64_t requested,
@@ -528,7 +547,7 @@ std::optional<task::SolveResult> QueryService::memo_lookup(
                     solve->model ? solve->model->tag() : 0};
   MemoVal val;
   if (!memo_.lookup(key, &val)) return std::nullopt;
-  return val.result;
+  return std::move(val.result);
 }
 
 void QueryService::memo_store(const Query& query,

@@ -55,8 +55,10 @@
 // thread reaches the terminal status first -- a service worker, the
 // watchdog path, or INLINE on the submitting thread (memo hits, admission
 // sheds, shutdown).  This is what lets a networked transport complete
-// pipelined responses out of order without parking a thread per request;
-// the ticket's future remains valid alongside the callback.
+// pipelined responses out of order without parking a thread per request.
+// The ticket flavor, submit(Query), is that same call with a callback that
+// fulfils the ticket's promise.  A memo hit is answered before any per-query
+// state exists: no Job, promise or cancel token is allocated for it.
 //
 // Observability (PR 4): when Options::obs.enabled is set, the service owns
 // an obs::Observer and every query carries an obs::TraceContext.  Spans
@@ -242,9 +244,9 @@ struct QueryTicket {
 };
 
 /// Terminal-status continuation for submit(Query, CompletionFn).  Invoked
-/// exactly once with the same QueryResult the ticket's future yields; may
-/// run on a service worker thread or inline on the submitting thread (memo
-/// hits, admission sheds, shutdown), so it must not block or throw.
+/// exactly once with the query's terminal QueryResult; may run on a service
+/// worker thread or inline on the submitting thread (memo hits, admission
+/// sheds, shutdown), so it must not block or throw.
 using CompletionFn = std::function<void(const QueryResult&)>;
 
 class QueryService {
@@ -305,14 +307,20 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   /// The single entry point for every query family; build the Query with
-  /// Query::solve / ::convergence / ::emulate / ::check.  Never throws for
-  /// load reasons: an inadmissible query yields a ticket already completed
-  /// with kOverloaded (or kCancelled during shutdown).  When `on_complete`
-  /// is set it receives the terminal QueryResult exactly once -- possibly
-  /// inline on this thread (memo hits, sheds, shutdown), possibly later on
-  /// a worker -- in addition to (and always before) the ticket's future
-  /// becoming ready.
-  QueryTicket submit(Query query, CompletionFn on_complete = nullptr);
+  /// Query::solve / ::convergence / ::emulate / ::check.  `on_complete`
+  /// (required) receives the terminal QueryResult exactly once -- inline on
+  /// this thread for memo hits, sheds and shutdown, otherwise later on a
+  /// worker.  Never throws for load reasons: an inadmissible query
+  /// completes with kOverloaded (or kCancelled during shutdown).  `cancel`
+  /// is the token the query polls (flip it from any thread to finish it
+  /// kCancelled); null creates one if the query is queued.
+  void submit(Query query, CompletionFn on_complete,
+              std::shared_ptr<std::atomic<bool>> cancel = nullptr);
+
+  /// Ticket flavor: submit(query, <fulfil the ticket>, ticket.cancel).  The
+  /// future yields the terminal QueryResult; it is already ready on return
+  /// for memo hits, sheds and shutdown.
+  QueryTicket submit(Query query);
 
   /// Flips the cancel token of every query still in flight or queued.
   void cancel_all();
@@ -329,16 +337,16 @@ class QueryService {
   }
 
  private:
-  /// Everything a query carries from submission to its terminal status.
+  /// Everything a queued query carries from submission to its terminal
+  /// status (memo hits never get one).
   struct Job {
     Query query;
     std::shared_ptr<std::atomic<bool>> cancel;
-    std::promise<QueryResult> promise;
     std::chrono::steady_clock::time_point submitted;
     std::optional<std::chrono::steady_clock::time_point> deadline;
     /// Per-query trace handle (disabled context when obs is off).
     obs::TraceContext trace;
-    /// Terminal-status continuation (may be empty); see CompletionFn.
+    /// Terminal-status continuation; see CompletionFn.
     CompletionFn on_complete;
     /// Watchdog heartbeat: bumped at search/subdivision checkpoints.
     std::atomic<std::uint64_t> progress{0};
@@ -426,8 +434,12 @@ class QueryService {
   void run_job(const std::shared_ptr<Job>& job);
   /// Completes `job` without running it (shed, shutdown, expired).
   void finish_without_running(const std::shared_ptr<Job>& job, Status status);
-  /// Exactly-once: records and fulfils the promise.
+  /// Exactly-once: completes the job's query.
   void finish(const std::shared_ptr<Job>& job, QueryResult result);
+  /// Stamps the terminal result (retry hint, latency since `submitted`),
+  /// records it and hands it to `on_complete`.
+  void complete(std::chrono::steady_clock::time_point submitted,
+                QueryResult& result, const CompletionFn& on_complete);
   QueryResult execute(const Query& query,
                       const std::shared_ptr<std::atomic<bool>>& cancel,
                       std::chrono::steady_clock::time_point submitted,

@@ -33,15 +33,14 @@
 namespace wfc::net {
 namespace {
 
-using Fields = std::map<std::string, std::string>;
+using svc::Fields;
 using namespace std::chrono_literals;
 using Clock = std::chrono::steady_clock;
 
 Fields parse(const std::string& line) { return svc::parse_flat_json(line); }
 
 std::string field(const Fields& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  return it == fields.end() ? std::string() : it->second;
+  return std::string(fields.get(key));
 }
 
 svc::QueryService::Options service_options() {

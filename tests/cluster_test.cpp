@@ -37,14 +37,13 @@
 namespace wfc::cluster {
 namespace {
 
-using Fields = std::map<std::string, std::string>;
+using svc::Fields;
 using namespace std::chrono_literals;
 
 Fields parse(const std::string& line) { return svc::parse_flat_json(line); }
 
 std::string field(const Fields& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  return it == fields.end() ? std::string() : it->second;
+  return std::string(fields.get(key));
 }
 
 /// The router's routing key for a consensus solve -- mirrors make_key so

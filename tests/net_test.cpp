@@ -33,7 +33,7 @@
 namespace wfc::net {
 namespace {
 
-using Fields = std::map<std::string, std::string>;
+using svc::Fields;
 
 svc::QueryService::Options service_options(int workers = 4) {
   svc::QueryService::Options options;
@@ -62,8 +62,7 @@ struct TestServer {
 Fields parse(const std::string& line) { return svc::parse_flat_json(line); }
 
 std::string field(const Fields& fields, const std::string& key) {
-  const auto it = fields.find(key);
-  return it == fields.end() ? std::string() : it->second;
+  return std::string(fields.get(key));
 }
 
 // ---------------------------------------------------------------------------

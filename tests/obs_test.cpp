@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -20,6 +22,7 @@
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
 #include "service/frontend.hpp"
+#include "service/handler.hpp"
 #include "service/jsonl.hpp"
 #include "service/query_service.hpp"
 #include "service/status.hpp"
@@ -386,6 +389,144 @@ TEST(ServiceObs, CountersReconcileWithServiceStatsAndSpansFlow) {
   EXPECT_TRUE(saw_search);
 }
 
+/// What a memo hit moves: the service's books, the by-kind and end-to-end
+/// series, and the trace ring's memo-hit instants and queue-wait spans.
+struct MemoBooks {
+  std::uint64_t submitted = 0;
+  std::uint64_t ok = 0;
+  std::uint64_t result_hits = 0;
+  std::uint64_t by_kind_solve = 0;
+  std::uint64_t e2e = 0;
+  std::uint64_t memo_instants = 0;
+  std::uint64_t queue_waits = 0;
+  bool reconciles = false;
+};
+
+MemoBooks books_of(svc::QueryService& service) {
+  MemoBooks b;
+  const svc::ServiceStats st = service.stats();
+  b.submitted = st.submitted;
+  b.ok = st.by_status[static_cast<int>(svc::Status::kOk)];
+  b.result_hits = st.result_hits;
+  b.reconciles = st.reconciles();
+  obs::MetricsRegistry& reg = service.observer().metrics();
+  b.by_kind_solve =
+      reg.counter("wfc_queries_by_kind_total", R"(kind="solve")").value();
+  b.e2e = reg.histogram("wfc_e2e_us", obs::latency_bounds_us()).count();
+  for (const Span& s : service.observer().trace()->snapshot()) {
+    b.memo_instants += s.kind == SpanKind::kMemoHit ? 1 : 0;
+    b.queue_waits += s.kind == SpanKind::kQueueWait ? 1 : 0;
+  }
+  return b;
+}
+
+/// `after` is `before` plus exactly `hits` memo hits, none of them queued.
+void expect_memo_hits(const MemoBooks& before, const MemoBooks& after,
+                      std::uint64_t hits) {
+  EXPECT_EQ(after.submitted - before.submitted, hits);
+  EXPECT_EQ(after.ok - before.ok, hits);
+  EXPECT_EQ(after.result_hits - before.result_hits, hits);
+  EXPECT_EQ(after.by_kind_solve - before.by_kind_solve, hits);
+  EXPECT_EQ(after.e2e - before.e2e, hits);
+  EXPECT_EQ(after.memo_instants - before.memo_instants, hits);
+  EXPECT_EQ(after.queue_waits, before.queue_waits);
+  EXPECT_TRUE(after.reconciles);
+}
+
+const std::vector<std::string>& memo_lines() {
+  // A model-less line and a model line: the memo key carries the model tag.
+  static const std::vector<std::string> lines = {
+      R"({"op":"solve","task":"consensus","procs":2,"values":2,)"
+      R"("max_level":1})",
+      R"j({"op":"solve","task":"set-consensus","procs":3,"k":2,)j"
+      R"j("max_level":1,"model":"t_resilient(1)"})j"};
+  return lines;
+}
+
+TEST(ServiceObs, MemoHitsCountAndTraceOncePerHitOnBothFlavors) {
+  svc::QueryService::Options options;
+  options.workers = 2;
+  options.obs.enabled = true;
+  svc::QueryService service(options);
+  svc::RequestHandler handler(service, svc::HandlerConfig{});
+  const std::vector<std::string>& lines = memo_lines();
+  for (const std::string& line : lines) {  // one executed query per line
+    svc::RequestHandler::Rendered error;
+    auto submitted = handler.submit(handler.parse(line, 1), &error);
+    ASSERT_TRUE(submitted.has_value()) << error.line;
+    EXPECT_FALSE(submitted->ticket.result.get().memoized) << line;
+  }
+
+  constexpr std::uint64_t kHits = 40;
+  const MemoBooks before = books_of(service);
+  ASSERT_TRUE(before.reconciles);
+  // Callback flavor: a hit is answered before submit_async returns.
+  for (std::uint64_t i = 0; i < kHits; ++i) {
+    bool answered = false;
+    svc::RequestHandler::Rendered error;
+    ASSERT_TRUE(handler.submit_async(
+        handler.parse(lines[i % lines.size()], 1),
+        [&answered](svc::RequestHandler::Rendered&& rendered) {
+          answered = true;
+          EXPECT_FALSE(rendered.error) << rendered.line;
+          EXPECT_NE(rendered.line.find(R"("cache_hit":true)"),
+                    std::string::npos)
+              << rendered.line;
+        },
+        &error))
+        << error.line;
+    EXPECT_TRUE(answered) << "memo hit " << i << " did not complete inline";
+  }
+  const MemoBooks mid = books_of(service);
+  expect_memo_hits(before, mid, kHits);
+
+  // Ticket flavor: the future is ready when submit returns.
+  for (std::uint64_t i = 0; i < kHits; ++i) {
+    svc::RequestHandler::Rendered error;
+    auto submitted =
+        handler.submit(handler.parse(lines[i % lines.size()], 1), &error);
+    ASSERT_TRUE(submitted.has_value()) << error.line;
+    ASSERT_EQ(submitted->ticket.result.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+    const svc::QueryResult result = submitted->ticket.result.get();
+    EXPECT_TRUE(result.memoized);
+    EXPECT_EQ(result.status, svc::Status::kOk);
+  }
+  expect_memo_hits(mid, books_of(service), kHits);
+}
+
+TEST(ServiceObs, DisabledMemoNeverTakesTheFastPath) {
+  svc::QueryService::Options options;
+  options.workers = 1;
+  options.obs.enabled = true;
+  options.result_memo_entries = 0;
+  svc::QueryService service(options);
+  svc::RequestHandler handler(service, svc::HandlerConfig{});
+  constexpr std::uint64_t kRepeats = 6;
+  for (std::uint64_t i = 0; i < kRepeats; ++i) {
+    std::promise<std::thread::id> completed_on;
+    svc::RequestHandler::Rendered error;
+    ASSERT_TRUE(handler.submit_async(
+        handler.parse(memo_lines()[i % memo_lines().size()], 1),
+        [&completed_on](svc::RequestHandler::Rendered&& rendered) {
+          EXPECT_FALSE(rendered.error) << rendered.line;
+          completed_on.set_value(std::this_thread::get_id());
+        },
+        &error))
+        << error.line;
+    // Every repeat is queued and executed: it completes on the worker.
+    EXPECT_NE(completed_on.get_future().get(), std::this_thread::get_id());
+  }
+  const MemoBooks books = books_of(service);
+  EXPECT_EQ(books.submitted, kRepeats);
+  EXPECT_EQ(books.ok, kRepeats);
+  EXPECT_EQ(books.result_hits, 0u);
+  EXPECT_EQ(books.memo_instants, 0u);
+  EXPECT_EQ(books.queue_waits, kRepeats);
+  EXPECT_EQ(books.e2e, kRepeats);
+  EXPECT_TRUE(books.reconciles);
+}
+
 TEST(ServiceObs, DisabledObserverKeepsRegistryEmptyAndTracesOff) {
   svc::QueryService service;  // ObsConfig::enabled defaults to false
   EXPECT_FALSE(service.observer().enabled());
@@ -568,7 +709,7 @@ TEST(JsonlRoundTrip, TraceOpWritesLoadableChromeTrace) {
   EXPECT_EQ(t.at("op"), "trace");
   EXPECT_EQ(t.at("status"), "ok");
   EXPECT_EQ(t.at("path"), trace_path);
-  EXPECT_GT(std::stoull(t.at("spans")), 0u);
+  EXPECT_GT(std::stoull(std::string(t.at("spans"))), 0u);
 
   std::ifstream file(trace_path);
   ASSERT_TRUE(file.good());

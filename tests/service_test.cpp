@@ -444,30 +444,19 @@ TEST(Jsonl, WriterEscapes) {
 }
 
 TEST(Frontend, MakeCanonicalTaskCoversEveryKind) {
-  using Fields = std::map<std::string, std::string>;
-  EXPECT_EQ(make_canonical_task(
-                Fields{{"task", "consensus"}, {"procs", "2"}, {"values", "2"}})
-                ->name(),
+  const auto make = [](std::string_view line) {
+    return make_canonical_task(parse_flat_json(line));
+  };
+  EXPECT_EQ(make(R"({"task":"consensus","procs":2,"values":2})")->name(),
             "consensus(n=2,m=2)");
-  EXPECT_NE(make_canonical_task(
-                Fields{{"task", "set-consensus"}, {"procs", "3"}, {"k", "2"}}),
+  EXPECT_NE(make(R"({"task":"set-consensus","procs":3,"k":2})"), nullptr);
+  EXPECT_NE(make(R"({"task":"renaming","procs":2,"names":2})"), nullptr);
+  EXPECT_NE(make(R"({"task":"approx","procs":2,"grid":3})"), nullptr);
+  EXPECT_NE(make(R"({"task":"simplex-agreement","procs":2,"depth":1})"),
             nullptr);
-  EXPECT_NE(make_canonical_task(
-                Fields{{"task", "renaming"}, {"procs", "2"}, {"names", "2"}}),
-            nullptr);
-  EXPECT_NE(make_canonical_task(
-                Fields{{"task", "approx"}, {"procs", "2"}, {"grid", "3"}}),
-            nullptr);
-  EXPECT_NE(make_canonical_task(Fields{{"task", "simplex-agreement"},
-                                       {"procs", "2"},
-                                       {"depth", "1"}}),
-            nullptr);
-  EXPECT_NE(make_canonical_task(Fields{{"task", "identity"}, {"procs", "3"}}),
-            nullptr);
-  EXPECT_THROW(make_canonical_task(Fields{{"task", "nope"}, {"procs", "2"}}),
-               std::invalid_argument);
-  EXPECT_THROW(make_canonical_task(Fields{{"task", "consensus"}}),
-               std::invalid_argument);
+  EXPECT_NE(make(R"({"task":"identity","procs":3})"), nullptr);
+  EXPECT_THROW(make(R"({"task":"nope","procs":2})"), std::invalid_argument);
+  EXPECT_THROW(make(R"({"task":"consensus"})"), std::invalid_argument);
 }
 
 TEST(Frontend, InternedTaskTableIsBounded) {
@@ -551,6 +540,56 @@ TEST(Frontend, DepthFieldOverTheCapIsRejected) {
   EXPECT_FALSE(handler.submit(deep, &error).has_value());
   EXPECT_NE(error.line.find("invalid_argument"), std::string::npos);
   EXPECT_NE(error.line.find("depth"), std::string::npos);
+}
+
+TEST(Frontend, QueryOptionsMustBeWholeNonNegativeIntegers) {
+  QueryService::Options options;
+  options.workers = 1;
+  QueryService service(options);
+  RequestHandler handler(service, HandlerConfig{});
+  const std::string task = R"("task":"consensus","procs":2,"values":2)";
+  // Each line names the offending field; none of them is submitted.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {R"("budget":-1)", "budget"},          // stoull used to wrap it
+      {R"("budget":"10x")", "budget"},       // stoull used to read 10
+      {R"("timeout_ms":-5)", "timeout_ms"},  // used to queue, then expire
+      {R"("max_level":-1)", "max_level"},    // used to reach task::solve
+      {R"("budget":1.5)", "budget"},
+      {R"("budget":" 7")", "budget"},
+      {R"("max_level":"+1")", "max_level"},
+      {R"("max_level":2147483648)", "max_level"},
+      {R"("budget":18446744073709551616)", "budget"},
+      {R"("timeout_ms":true)", "timeout_ms"},
+  };
+  for (const auto& [option, name] : bad) {
+    const std::string line = R"({"id":"o","op":"solve",)" + option + "," +
+                             task + "}";
+    RequestHandler::ParsedLine parsed = handler.parse(line, 3);
+    ASSERT_EQ(parsed.action, RequestHandler::Action::kSubmit) << line;
+    RequestHandler::Rendered error;
+    EXPECT_FALSE(handler.submit(parsed, &error).has_value()) << line;
+    EXPECT_TRUE(error.error);
+    EXPECT_EQ(error.line,
+              R"({"id":"o","status":"invalid_argument","line":3,"error":)"
+              R"("field \")" +
+                  name + R"(\" is not a non-negative integer: )" +
+                  std::string(parse_flat_json("{" + option + "}").at(name)) +
+                  R"("})")
+        << line;
+  }
+  EXPECT_EQ(service.stats().submitted, 0u);
+  // Zero, the largest budget and a quoted number still parse.
+  for (const std::string& option :
+       {std::string(R"("max_level":0)"), std::string(R"("timeout_ms":0)"),
+        std::string(R"("budget":18446744073709551615)"),
+        std::string(R"("budget":"12")")}) {
+    RequestHandler::ParsedLine parsed =
+        handler.parse(R"({"op":"solve",)" + option + "," + task + "}", 1);
+    RequestHandler::Rendered error;
+    auto submitted = handler.submit(parsed, &error);
+    ASSERT_TRUE(submitted.has_value()) << option << ": " << error.line;
+    (void)submitted->ticket.result.get();
+  }
 }
 
 // ---------------------------------------------------------------------------
