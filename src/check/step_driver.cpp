@@ -3,7 +3,7 @@
 #include <atomic>
 #include <bit>
 
-#include "registers/step_point.hpp"
+#include "common/step_point.hpp"
 
 namespace wfc::chk {
 
@@ -25,7 +25,7 @@ void StepDriver::hook_trampoline() {
 StepDriver::StepDriver(int n_procs) : procs_(static_cast<std::size_t>(n_procs)) {
   WFC_REQUIRE(n_procs >= 1 && n_procs <= 32, "StepDriver: bad n_procs");
   if (g_installed.fetch_add(1, std::memory_order_acq_rel) == 0) {
-    reg::detail::step_hook.store(&StepDriver::hook_trampoline,
+    wfc::detail::step_hook.store(&StepDriver::hook_trampoline,
                                  std::memory_order_release);
   }
 }
@@ -42,7 +42,7 @@ StepDriver::~StepDriver() {
     procs_[p].thread.join();
   }
   if (g_installed.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    reg::detail::step_hook.store(nullptr, std::memory_order_release);
+    wfc::detail::step_hook.store(nullptr, std::memory_order_release);
   }
 }
 

@@ -577,9 +577,8 @@ ChaosProxy::Outcome ChaosProxy::on_line(std::string_view line, int line_no,
   }
   const svc::Fields& fields = read.fields;
   const std::string& op = read.op;
-  const auto id_it = fields.find("id");
-  const std::string id =
-      id_it == fields.end() ? "" : svc::json_escape(id_it->second);
+  // Raw: every renderer escapes it once, through JsonWriter.
+  const std::string id(fields.get("id"));
   if (op == "fault") {
     out.response = handle_fault(fields, id);
   } else if (op == "chaos_stats") {

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "registers/step_point.hpp"
+#include "common/step_point.hpp"
 #include "registers/swmr_register.hpp"
 
 namespace wfc::reg {

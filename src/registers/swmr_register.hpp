@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "registers/step_point.hpp"
+#include "common/step_point.hpp"
 
 namespace wfc::reg {
 

@@ -21,6 +21,32 @@ void skip_ws(std::string_view s, std::size_t& i) {
   while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
 }
 
+/// Reads the \u escape whose first hex digit is raw[i], joining a
+/// surrogate pair: sets *cp and returns the bytes read after the 'u' (4,
+/// or 10 for a pair), or 0 for a non-hex digit or a lone surrogate.
+std::size_t read_unicode(std::string_view raw, std::size_t i,
+                         std::uint32_t* cp) {
+  const auto hex4 = [raw](std::size_t at, std::uint32_t* v) {
+    if (at > raw.size() || raw.size() - at < 4) return false;
+    const char* const first = raw.data() + at;
+    const auto [end, ec] = std::from_chars(first, first + 4, *v, 16);
+    return ec == std::errc() && end == first + 4;
+  };
+  std::uint32_t hi = 0;
+  if (!hex4(i, &hi) || (hi >= 0xDC00 && hi <= 0xDFFF)) return 0;
+  if (hi < 0xD800 || hi > 0xDBFF) {
+    *cp = hi;
+    return 4;
+  }
+  std::uint32_t lo = 0;
+  if (raw.substr(i + 4, 2) != "\\u" || !hex4(i + 6, &lo) || lo < 0xDC00 ||
+      lo > 0xDFFF) {
+    return 0;
+  }
+  *cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+  return 10;
+}
+
 /// The raw text of the string at line[i] == '"' (quotes excluded, escapes
 /// kept but checked); leaves i past the closing quote.  Runs of plain text
 /// are skipped with memchr: long values cost a copy, not a loop per byte.
@@ -41,7 +67,16 @@ std::string_view scan_string(std::string_view line, std::size_t& i) {
     i = static_cast<std::size_t>(static_cast<const char*>(esc) - data) + 1;
     if (i >= line.size()) bad(line, "dangling escape");
     switch (line[i++]) {
-      case '"': case '\\': case '/': case 'n': case 't': case 'r': break;
+      case '"': case '\\': case '/': case 'b': case 'f': case 'n': case 'r':
+      case 't':
+        break;
+      case 'u': {
+        std::uint32_t cp = 0;
+        const std::size_t n = read_unicode(line, i, &cp);
+        if (n == 0) bad(line, "malformed \\u escape");
+        i += n;
+        break;
+      }
       default: bad(line, "unsupported escape");
     }
     if (quote != std::string_view::npos && quote < i) {
@@ -185,8 +220,30 @@ bool FlatJsonScanner::next(Member* member) {
 
 namespace {
 
-/// Writes the text `raw` stands for at `out` (at most raw.size() bytes);
-/// returns the bytes written.
+/// Writes `cp` as UTF-8 (1-4 bytes) at `out`; returns the end.
+char* put_utf8(char* out, std::uint32_t cp) {
+  const auto byte = [](std::uint32_t b) { return static_cast<char>(b); };
+  if (cp < 0x80) {
+    *out++ = byte(cp);
+  } else if (cp < 0x800) {
+    *out++ = byte(0xC0 | (cp >> 6));
+    *out++ = byte(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    *out++ = byte(0xE0 | (cp >> 12));
+    *out++ = byte(0x80 | ((cp >> 6) & 0x3F));
+    *out++ = byte(0x80 | (cp & 0x3F));
+  } else {
+    *out++ = byte(0xF0 | (cp >> 18));
+    *out++ = byte(0x80 | ((cp >> 12) & 0x3F));
+    *out++ = byte(0x80 | ((cp >> 6) & 0x3F));
+    *out++ = byte(0x80 | (cp & 0x3F));
+  }
+  return out;
+}
+
+/// Writes the text `raw` stands for at `out` (at most raw.size() bytes: a
+/// \u escape is 6 bytes for at most 3, a pair 12 for 4); returns the bytes
+/// written.
 std::size_t unescape_to(char* out, std::string_view raw) {
   if (raw.empty()) return 0;
   char* const start = out;
@@ -197,9 +254,22 @@ std::size_t unescape_to(char* out, std::string_view raw) {
     std::memcpy(out, raw.data() + from, esc - from);
     out += esc - from;
     switch (raw[esc + 1]) {
+      case 'b': *out++ = '\b'; break;
+      case 'f': *out++ = '\f'; break;
       case 'n': *out++ = '\n'; break;
       case 't': *out++ = '\t'; break;
       case 'r': *out++ = '\r'; break;
+      case 'u': {
+        std::uint32_t cp = 0;
+        const std::size_t n = read_unicode(raw, esc + 2, &cp);
+        if (n == 0) {
+          *out++ = 'u';  // not scanned text; kept within the bound
+          break;
+        }
+        out = put_utf8(out, cp);
+        esc += n;
+        break;
+      }
       default: *out++ = raw[esc + 1];  // '"', '\\' or '/'
     }
   }

@@ -274,11 +274,6 @@ void QueryService::init_observability() {
   // lock-free hot structures are working for their progress guarantees.
   gauge("wfc_wf_cas_retries", "Failed CAS attempts across wf structures",
         [] { return wf::telemetry().cas_retries.value(); });
-  gauge("wfc_wf_announces",
-        "Inserts that took the announce (helping) slow path",
-        [] { return wf::telemetry().announces.value(); });
-  gauge("wfc_wf_help_ops", "Announced operations completed by helper threads",
-        [] { return wf::telemetry().help_ops.value(); });
   gauge("wfc_wf_epoch_advances", "Epoch-reclamation grace periods completed",
         [] { return wf::telemetry().epoch_advances.value(); });
   gauge("wfc_wf_epoch_reclaimed", "Deferred nodes freed by epoch reclamation",

@@ -29,7 +29,6 @@ SdsCache::SdsCache(Options options)
           .min_slots = 64,
           .segments = 4,
           .keep_hottest = true,
-          .announce_after = 8,
       }) {
   if (!options_.store.dir.empty()) {
     store_ = std::make_unique<store::ChainStore>(options_.store);

@@ -31,6 +31,12 @@
 // own build mutex without holding any epoch guard.  lookup() is the
 // cheaper copy-out path (memo/intern): no pin, just an epoch-guarded
 // payload copy.
+//
+// Inserts go through wf::HashMap::insert_or_get: a present key is found
+// wait-free; a miss builds its entry outside any lock, then takes the
+// map's insert mutex for one cluster rescan and store.  The map never
+// holds two nodes for one key, so one entry per key carries the pins,
+// ticket and weight, and nothing reconciles duplicates.
 #pragma once
 
 #include <atomic>
@@ -62,13 +68,12 @@ class ClockCache {
     std::size_t segments = 4;
     /// Never evict the most recently touched entry.
     bool keep_hottest = true;
-    /// Announce-array threshold passed through to the underlying map.
-    unsigned announce_after = 8;
   };
 
-  // Per-entry bookkeeping wrapped around the payload.  The copy/move
-  // constructors copy only the payload: helper-installed copies and the
-  // surviving original must each start with private, zeroed metadata.
+  // Per-entry bookkeeping wrapped around the payload.  An entry is built
+  // once, in place inside its map node, and never copied or moved: the
+  // map keeps at most one node per key, so no second copy of the
+  // bookkeeping can exist.
   struct Entry {
     V payload;
     std::atomic<std::uint64_t> state{0};  // bit 63 evict claim, rest pins
@@ -77,8 +82,8 @@ class ClockCache {
     std::atomic<bool> ref{false};  // CLOCK second-chance bit
 
     explicit Entry(V p) : payload(std::move(p)) {}
-    Entry(const Entry& o) : payload(o.payload) {}
-    Entry(Entry&& o) noexcept : payload(std::move(o.payload)) {}
+    Entry(const Entry&) = delete;
+    Entry(Entry&&) = delete;
     Entry& operator=(const Entry&) = delete;
   };
 
@@ -138,9 +143,7 @@ class ClockCache {
       want = 2 * options_.max_entries;
     }
     mo.min_slots = want;
-    mo.announce_after = options_.announce_after;
-    mo.unlink = [this](std::size_t i, Node* n) { unlink_loser(i, n); };
-    map_ = std::make_unique<Map>(std::move(mo));
+    map_ = std::make_unique<Map>(mo);
     segments_ = options_.segments == 0 ? 1 : options_.segments;
     hands_ = std::make_unique<std::atomic<std::size_t>[]>(segments_);
     for (std::size_t s = 0; s < segments_; ++s) {
@@ -182,8 +185,8 @@ class ClockCache {
   }
 
   /// Pinned get-or-create.  `make()` produces the payload; if a
-  /// concurrent twin wins the race the twin's entry is returned instead
-  /// (*inserted=false).  On a genuine insert, enforces max_entries (the
+  /// concurrent insert of the key stores first, its entry is returned
+  /// instead (*inserted=false).  On a genuine insert, enforces max_entries (the
   /// returned handle's pin protects the new entry itself).
   template <typename Make>
   [[nodiscard]] Handle get_or_insert(const K& key, Make&& make,
@@ -365,20 +368,6 @@ class ClockCache {
       e.state.store(0, std::memory_order_release);  // defensive un-claim
     }
     return false;
-  }
-
-  // Removal hook for losing duplicates from the map's insert race: claim
-  // like an evictor, decline if pinned (a pinned loser is unreachable via
-  // find() and gets evicted once unpinned).
-  void unlink_loser(std::size_t i, Node* n) {
-    if (!try_claim(n->value)) return;
-    if (map_->erase_at(i, n)) {
-      weight_.fetch_sub(n->value.weight.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-      Epoch::global().retire(n);
-    } else {
-      n->value.state.store(0, std::memory_order_release);
-    }
   }
 
   Options options_;

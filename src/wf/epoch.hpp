@@ -39,7 +39,7 @@ namespace wfc::wf {
 
 /// Small dense id for the calling thread (assigned on first use, recycled
 /// on thread exit).  Shared by the epoch domain, the sharded counters, and
-/// the announce arrays so "which shard am I" is one thread-local read.
+/// the CLOCK hands so "which shard am I" is one thread-local read.
 [[nodiscard]] std::uint32_t thread_slot();
 
 class Epoch {

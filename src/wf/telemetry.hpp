@@ -1,10 +1,10 @@
 // Process-wide contention telemetry for the wait-free data plane.
 //
 // Lock-free code hides its contention: there is no mutex to profile, just
-// CAS loops that retry a little more often.  These counters make that
-// visible.  They are exported as `wfc_wf_*` gauges through the service
-// metrics registry (see QueryService::init_observability) so a Prometheus
-// scrape shows whether the data plane is cruising or thrashing.
+// CASes that fail a little more often.  These counters make that visible.
+// They are exported as `wfc_wf_*` gauges through the service metrics
+// registry (see QueryService::init_observability) so a Prometheus scrape
+// shows whether the data plane is cruising or thrashing.
 #pragma once
 
 #include "wf/counter.hpp"
@@ -12,14 +12,11 @@
 namespace wfc::wf {
 
 struct Telemetry {
-  /// Failed compare-exchange attempts across wf structures (slot claims,
-  /// pin/unpin races).  The lock-free analogue of mutex contention.
+  /// Failed compare-exchange attempts across wf structures (erases that
+  /// lost to a concurrent erase, pin races).  The lock-free analogue of
+  /// mutex contention.
   Counter cas_retries;
-  /// Inserts that exhausted their fast-path budget and published an
-  /// operation in the announce array.
-  Counter announces;
-  /// Announced operations completed on behalf of *another* thread -- the
-  /// helping scheme doing its job.
+  /// Nothing increments this; it stays for readers that still report it.
   Counter help_ops;
   /// Global epoch advances (reclamation grace periods completed).
   Counter epoch_advances;

@@ -281,6 +281,26 @@ TEST(ChaosProxy, AdminOpsFlipFaultsAndValidate) {
   proxy.stop();
 }
 
+TEST(ChaosProxy, AdminEchoesIdsEscapedOnce) {
+  Backend backend("s1");
+  ChaosProxy proxy(one_link("s1", backend.server->port()));
+  proxy.start();
+  ServerConfig admin_config;
+  admin_config.listen = Endpoint{"127.0.0.1", 0};
+  Server admin(proxy, admin_config);
+  admin.start();
+  Client client = connect_to(admin.port());
+  for (const std::string id : {"a\"b", "c\\d"}) {
+    for (const std::string op : {"info", "chaos_stats", "nope"}) {
+      const Fields reply = parse(client.roundtrip(
+          R"({"id":")" + svc::json_escape(id) + R"(","op":")" + op + "\"}"));
+      EXPECT_EQ(field(reply, "id"), id) << op;
+    }
+  }
+  admin.drain();
+  proxy.stop();
+}
+
 TEST(ChaosProxy, CorruptionIsDeterministicPerSeed) {
   // Same seed + same bytes through fresh proxies must corrupt identically;
   // a different seed must not.  (The draw stream is per byte, so TCP

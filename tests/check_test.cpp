@@ -25,7 +25,7 @@
 #include "check/step_driver.hpp"
 #include "registers/atomic_snapshot.hpp"
 #include "registers/immediate_snapshot.hpp"
-#include "registers/step_point.hpp"
+#include "common/step_point.hpp"
 #include "registers/swmr_register.hpp"
 #include "runtime/adversary.hpp"
 #include "tasks/canonical.hpp"
@@ -648,11 +648,11 @@ class BrokenImmediateSnapshot {
     values_[ui].write(value);
     const int n = static_cast<int>(levels_.size());
     for (int level = n; level >= 1; --level) {
-      reg::detail::step_point();
+      wfc::detail::step_point();
       levels_[ui].store(level, std::memory_order_release);
       std::vector<int> seen;
       for (int j = 0; j < n; ++j) {
-        reg::detail::step_point();
+        wfc::detail::step_point();
         const int lj = levels_[static_cast<std::size_t>(j)].load(
             std::memory_order_acquire);
         // BUG: "level + 1" admits processors that announced ABOVE us.

@@ -433,6 +433,20 @@ TEST(ClusterRouter, IdSpliceRoundTripsEscapedIds) {
   EXPECT_EQ(field(fields, "status"), "ok");
 }
 
+TEST(ClusterRouter, ReadsShardLinesThatHoldUnicodeEscapes) {
+  // The shard's error names the task, and JsonWriter spells its 0x01 as
+  // \u0001: the router must read that response, not drop it.
+  TestCluster cluster(1);
+  net::Client client = cluster.connect(10s);
+  for (const std::string task : {"x\x01y", "x\\u0001y"}) {
+    const Fields fields = parse(client.roundtrip(
+        R"({"id":"a","op":"solve","task":")" + task + R"(","procs":2})"));
+    EXPECT_EQ(field(fields, "id"), "a") << task;
+    EXPECT_EQ(field(fields, "status"), "invalid_argument") << task;
+  }
+  EXPECT_EQ(cluster.router->stats().late_drops, 0u);
+}
+
 TEST(ClusterRouter, RequestsWithoutIdsAreAnsweredWithoutIds) {
   TestCluster cluster(2);
   net::Client client = cluster.connect();

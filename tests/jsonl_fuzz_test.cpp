@@ -4,15 +4,14 @@
 // Inputs: the request lines of examples/queries.jsonl and
 // examples/cluster_smoke.jsonl and the wfcbench hot-corpus bodies.
 // Mutations (SplitMix64 via wfc::Rng): byte flips, truncations, duplicated
-// and escaped keys (the same key spelled with and without an escape), and
-// long numbers.  Oracle, per mutated line:
+// and escaped keys (the same key spelled with and without escapes,
+// \uXXXX and surrogate pairs included), and long numbers.  Oracle, per
+// mutated line:
 //   * read_request never throws;
 //   * it accepts exactly the lines a FlatJsonScanner walk accepts, and an
 //     accepted line's Fields equal the last-wins std::map built from that
 //     walk -- member by member, so in key order -- and find() agrees;
-//   * the Fields survive a JsonWriter round trip (when no key or value
-//     holds a control byte the writer must spell as \u00XX, an escape the
-//     reader does not take).
+//   * the Fields survive a JsonWriter round trip.
 // The walk runs for about two seconds; WFC_TEST_SEED reseeds it.
 #include <gtest/gtest.h>
 
@@ -86,8 +85,24 @@ std::string mutate(std::string line, Rng& rng) {
                                     '\0', '\n', '\r', '\t', '/', 'u', '-',
                                     '.', '0', '9', 'e', '\x1f', '\x80',
                                     '\xff'};
-  static const std::vector<std::string> kKeys = {
-      "id", "op", "task", "procs", "model", "budget", "max_level", "a/b"};
+  // Each key with a spelling that escapes some of its bytes.
+  struct Key {
+    const char* raw;
+    const char* escaped;
+  };
+  static constexpr Key kKeys[] = {
+      {"id", "\\u0069d"},
+      {"op", "o\\u0070"},
+      {"task", "ta\\u0073k"},
+      {"procs", "\\u0070rocs"},
+      {"model", "mod\\u0065l"},
+      {"budget", "budg\\u0065t"},
+      {"max_level", "max\\u005Flevel"},
+      {"a/b", "a\\/b"},
+      {"\t\b\f", "\\t\\b\\f"},
+      {"\xc3\xa9t\xc3\xa9", "\\u00e9t\\u00E9"},
+      {"\xe2\x82\xac", "\\u20ac"},
+      {"\xf0\x9f\x98\x80", "\\ud83d\\uDE00"}};
   const int steps = rng.between(1, 3);
   for (int s = 0; s < steps; ++s) {
     const std::vector<std::size_t> starts = member_starts(line);
@@ -104,14 +119,10 @@ std::string mutate(std::string line, Rng& rng) {
         line.resize(rng.below(line.size() + 1));
         break;
       case 2:    // a duplicated key, later in the line than the original
-      case 3: {  // ... or spelled with an escape ("a\/b" is "a/b")
+      case 3: {  // ... or spelled with escapes ("o\u0070" is "op")
         if (starts.empty()) break;
-        std::string key = kKeys[rng.below(kKeys.size())];
-        if (kind == 3) {
-          const std::size_t slash = key.find('/');
-          key = slash == std::string::npos ? key + "\\t"
-                                           : key.replace(slash, 1, "\\/");
-        }
+        const Key& k = kKeys[rng.below(std::size(kKeys))];
+        const std::string key = kind == 3 ? k.escaped : k.raw;
         const std::string value =
             rng.coin() ? std::to_string(rng.below(1000))
                        : "\"v\\\"" + std::to_string(rng.below(10)) + "\\\\\"";
@@ -144,14 +155,6 @@ std::string mutate(std::string line, Rng& rng) {
   return line;
 }
 
-bool writer_round_trips(std::string_view text) {
-  for (const char c : text) {
-    const auto u = static_cast<unsigned char>(c);
-    if (u < 0x20 && c != '\n' && c != '\t' && c != '\r') return false;
-  }
-  return true;
-}
-
 TEST(ReadRequestFuzz, SeededMutationsKeepTheReaderTotalAndLastWins) {
   const std::vector<std::string> seeds = seed_lines();
   ASSERT_GE(seeds.size(), 40u);
@@ -159,7 +162,6 @@ TEST(ReadRequestFuzz, SeededMutationsKeepTheReaderTotalAndLastWins) {
   const auto stop = std::chrono::steady_clock::now() + std::chrono::seconds(2);
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
-  std::uint64_t round_trips = 0;
   for (std::uint64_t i = 0;
        i < 400000 && (i % 256 != 0 || std::chrono::steady_clock::now() < stop);
        ++i) {
@@ -202,36 +204,24 @@ TEST(ReadRequestFuzz, SeededMutationsKeepTheReaderTotalAndLastWins) {
     EXPECT_EQ(read.fields.count("\x01missing"), 0u);
     EXPECT_EQ(read.op, expected.count("op") != 0 ? expected["op"] : "");
 
-    bool writable = true;
-    for (const auto& [key, value] : read.fields) {
-      writable = writable && writer_round_trips(key) &&
-                 writer_round_trips(value);
-    }
-    if (writable) {
-      JsonWriter w;
-      for (const auto& [key, value] : read.fields) w.field(key, value);
-      const std::string written = std::move(w).str();
-      Fields back;
-      ASSERT_NO_THROW(back = parse_flat_json(written)) << written;
-      EXPECT_TRUE(std::equal(
-          back.begin(), back.end(), read.fields.begin(), read.fields.end(),
-          [](const Fields::Member& a, const Fields::Member& b) {
-            return a.first == b.first && a.second == b.second;
-          }))
-          << written;
-      ++round_trips;
-    }
+    JsonWriter w;
+    for (const auto& [key, value] : read.fields) w.field(key, value);
+    const std::string written = std::move(w).str();
+    Fields back;
+    ASSERT_NO_THROW(back = parse_flat_json(written)) << written;
+    EXPECT_TRUE(std::equal(
+        back.begin(), back.end(), read.fields.begin(), read.fields.end(),
+        [](const Fields::Member& a, const Fields::Member& b) {
+          return a.first == b.first && a.second == b.second;
+        }))
+        << written;
   }
-  // The walk must exercise both verdicts and the round trip.
+  // The walk must exercise both verdicts.
   EXPECT_GT(accepted, 100u);
   EXPECT_GT(rejected, 100u);
-  EXPECT_GT(round_trips, 100u);
-  std::fprintf(stderr,
-               "jsonl_fuzz_test: %llu accepted, %llu rejected, %llu round "
-               "trips\n",
+  std::fprintf(stderr, "jsonl_fuzz_test: %llu accepted, %llu rejected\n",
                static_cast<unsigned long long>(accepted),
-               static_cast<unsigned long long>(rejected),
-               static_cast<unsigned long long>(round_trips));
+               static_cast<unsigned long long>(rejected));
 }
 
 }  // namespace

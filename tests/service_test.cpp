@@ -414,6 +414,10 @@ TEST(Jsonl, ParsesFlatObjects) {
   EXPECT_EQ(fields.at("deadline"), "1.5");
   EXPECT_EQ(fields.at("ok"), "true");
   EXPECT_EQ(fields.at("s"), "a\"b");
+  // \uXXXX decodes to UTF-8; a surrogate pair is one code point.
+  EXPECT_EQ(parse_flat_json(R"({"u":"\b\f\u0041\u00e9\u20AC\ud83d\uDE00"})")
+                .at("u"),
+            "\b\fA\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
   EXPECT_TRUE(parse_flat_json("{}").empty());
   EXPECT_TRUE(parse_flat_json("  { }  ").empty());
 }
@@ -426,6 +430,12 @@ TEST(Jsonl, RejectsMalformedInput) {
   EXPECT_THROW(parse_flat_json(R"({"a":[1]})"), std::invalid_argument);
   EXPECT_THROW(parse_flat_json(R"({"a":1} x)"), std::invalid_argument);
   EXPECT_THROW(parse_flat_json(R"({"a":1e5})"), std::invalid_argument);
+  for (const char* bad : {R"({"a":"\x41"})", R"({"a":"\u00g1"})",
+                          R"({"a":"\u12"})", R"({"a":"\udc00"})",
+                          R"({"a":"\ud83d"})", R"({"a":"\ud83dx"})",
+                          R"({"a":"\ud83d\u0041"})"}) {
+    EXPECT_THROW(parse_flat_json(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Jsonl, WriterEscapes) {

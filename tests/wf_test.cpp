@@ -1,26 +1,31 @@
 // Torture tests for the wfc::wf wait-free data plane: epoch reclamation
-// (deferral until guards exit, drain-to-zero under churn), the lock-free
-// hash map (exactness, same-key convergence, the announce/helping path
-// and one fixed helper interleaving, tombstone reuse), the CLOCK cache
+// (deferral until guards exit, drain-to-zero under churn), the hash map
+// (exactness, tombstone reuse, same-key convergence, racing inserts across
+// an erase, and every step interleaving of small insert/erase/find
+// scenarios under chk::for_each_step_interleaving), the CLOCK cache
 // (hit+miss reconciliation under multi-threaded churn, pin-skipping
 // eviction, coldest-first victim choice, shed/clear, detached-handle
 // overflow), and the sharded stats primitives (fold exactness once
 // writers are quiescent).
 //
 // Thread counts deliberately oversubscribe small machines: the interesting
-// interleavings (CAS races, helping, evict-vs-pin) come from preemption,
-// not parallel speedup.  These tests also run under ThreadSanitizer in CI.
+// interleavings (CAS races, evict-vs-pin) come from preemption, not
+// parallel speedup.  These tests also run under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "check/step_driver.hpp"
 #include "common/rng.hpp"
 #include "wf/clock_cache.hpp"
 #include "wf/counter.hpp"
@@ -182,241 +187,254 @@ TEST(WfHashMap, FullTableRefusesNewKeysButServesOldOnes) {
 TEST(WfHashMap, ConcurrentSameKeyConvergesToOneNode) {
   constexpr int kThreads = 8;
   constexpr int kRounds = 200;
-  for (unsigned announce_after : {8u, 0u}) {  // fast path and helping path
-    IntMap::Options opt;
-    opt.min_slots = 4096;
-    opt.announce_after = announce_after;
-    IntMap map(std::move(opt));
-    std::atomic<int> inserted_count{0};
-    std::atomic<std::uintptr_t> winner[kRounds] = {};
-    std::vector<std::thread> ts;
-    for (int t = 0; t < kThreads; ++t) {
-      ts.emplace_back([&, t] {
-        for (int r = 0; r < kRounds; ++r) {
-          Epoch::Guard guard(Epoch::global());
-          const std::uint64_t key = static_cast<std::uint64_t>(r);
-          bool ins = false;
-          IntMap::Node* n = map.insert_or_get(
-              key,
-              [&] {
-                return new IntMap::Node{
-                    key, static_cast<std::uint64_t>(t) * 1'000'000 + key};
-              },
-              &ins);
-          ASSERT_NE(n, nullptr);
-          if (ins) inserted_count.fetch_add(1);
-          // Every thread must agree on one surviving node per key.
-          std::uintptr_t mine = reinterpret_cast<std::uintptr_t>(n);
-          std::uintptr_t expect = 0;
-          if (!winner[r].compare_exchange_strong(expect, mine)) {
-            EXPECT_EQ(expect, mine) << "two surviving nodes for key " << r;
-          }
-        }
-      });
-    }
-    for (auto& t : ts) t.join();
-    EXPECT_EQ(inserted_count.load(), kRounds)
-        << "exactly one thread per key must observe inserted=true";
-    EXPECT_EQ(map.size(), static_cast<std::size_t>(kRounds));
-  }
-}
-
-TEST(WfHashMap, AnnouncePathCompletesEveryInsert) {
-  // announce_after = 0: every insert publishes itself and is completed by
-  // helpers (or by its own announcer) -- the BG-style helping discipline.
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 250;
-  const std::uint64_t announces_before = telemetry().announces.value();
   IntMap::Options opt;
-  opt.min_slots = 8192;
-  opt.announce_after = 0;
-  IntMap map(std::move(opt));
+  opt.min_slots = 4096;
+  IntMap map(opt);
+  std::atomic<int> inserted_count{0};
+  std::atomic<std::uintptr_t> winner[kRounds] = {};
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
     ts.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
+      for (int r = 0; r < kRounds; ++r) {
         Epoch::Guard guard(Epoch::global());
-        const std::uint64_t key =
-            static_cast<std::uint64_t>(t) * kPerThread + i;
+        const std::uint64_t key = static_cast<std::uint64_t>(r);
         bool ins = false;
         IntMap::Node* n = map.insert_or_get(
-            key, [&] { return new IntMap::Node{key, key ^ 0xabcdu}; }, &ins);
+            key,
+            [&] {
+              return new IntMap::Node{
+                  key, static_cast<std::uint64_t>(t) * 1'000'000 + key};
+            },
+            &ins);
         ASSERT_NE(n, nullptr);
-        EXPECT_TRUE(ins);  // keys are disjoint across threads
+        if (ins) inserted_count.fetch_add(1);
+        // Every thread must agree on one surviving node per key.
+        std::uintptr_t mine = reinterpret_cast<std::uintptr_t>(n);
+        std::uintptr_t expect = 0;
+        if (!winner[r].compare_exchange_strong(expect, mine)) {
+          EXPECT_EQ(expect, mine) << "two surviving nodes for key " << r;
+        }
       }
     });
   }
   for (auto& t : ts) t.join();
-  EXPECT_EQ(map.size(), static_cast<std::size_t>(kThreads * kPerThread));
-  Epoch::Guard guard(Epoch::global());
-  for (std::uint64_t k = 0; k < kThreads * kPerThread; ++k) {
-    IntMap::Node* n = map.find(k);
-    ASSERT_NE(n, nullptr) << "announced insert lost for key " << k;
-    EXPECT_EQ(n->value, k ^ 0xabcdu);
-  }
-  EXPECT_GE(telemetry().announces.value(),
-            announces_before + kThreads * kPerThread);
+  EXPECT_EQ(inserted_count.load(), kRounds)
+      << "exactly one thread per key must observe inserted=true";
+  EXPECT_EQ(map.size(), static_cast<std::size_t>(kRounds));
 }
 
-// A fixed interleaving of three helpers on one announced insert.  Every key
-// hashes to slot 0, and threads park inside the two places where the map
-// calls user code: key comparison and value copies.
-namespace park {
-
-enum class Role { kNone, kAnnouncer, kHelper, kLateHelper };
-thread_local Role role = Role::kNone;
-
-struct Gate {
-  std::atomic<bool> parked{false};
-  std::atomic<bool> open{false};
-  void park() {
-    parked.store(true);
-    while (!open.load()) std::this_thread::yield();
-  }
-};
-Gate announcer_scan;  // the announcer, in its duplicate scan
-Gate late_copy;       // the late helper, copying the prototype
-Gate late_scan;       // the late helper, in its duplicate scan
-std::atomic<bool> announcer_copied{false};
-std::atomic<bool> helper_copied{false};
-std::atomic<bool> late_copied{false};
-
-void open_all() {
-  for (Gate* g : {&announcer_scan, &late_copy, &late_scan}) g->open.store(true);
-}
-
-void reset() {  // for --gtest_repeat
-  for (Gate* g : {&announcer_scan, &late_copy, &late_scan}) {
-    g->parked.store(false);
-    g->open.store(false);
-  }
-  for (auto* f : {&announcer_copied, &helper_copied, &late_copied}) {
-    f->store(false);
-  }
-}
-
-std::size_t live_nodes();  // the map's size(); defined once the map exists
-
-struct Value {
-  int v = 0;
-  Value() = default;
-  explicit Value(int x) : v(x) {}
-  Value(const Value& other) : v(other.v) {
-    if (role == Role::kAnnouncer) announcer_copied.store(true);
-    if (role == Role::kHelper) helper_copied.store(true);
-    if (role == Role::kLateHelper && !late_copied.exchange(true)) {
-      late_copy.park();
-    }
-  }
-  Value& operator=(const Value&) = default;
-};
-
+// Every key hashes to slot 0, so all keys of a test share one cluster.
 struct SlotZero {
   std::size_t operator()(std::uint64_t) const { return 0; }
 };
+using ZeroMap = HashMap<std::uint64_t, std::uint64_t, SlotZero>;
+constexpr std::uint64_t kY = 1, kX = 2, kK = 3;
 
-struct ParkingEq {
-  bool operator()(std::uint64_t a, std::uint64_t b) const {
-    // Three live nodes after a thread's own copy went in: the comparison is
-    // the first step of its duplicate scan (slot 0).
-    if (live_nodes() == 3) {
-      if (role == Role::kAnnouncer && announcer_copied.load() &&
-          !announcer_scan.parked.load()) {
-        announcer_scan.park();
-      }
-      if (role == Role::kLateHelper && late_copied.load() &&
-          !late_scan.parked.load()) {
-        late_scan.park();
-      }
-    }
-    return a == b;
-  }
-};
+TEST(WfHashMap, RacingInsertsAcrossAnEraseKeepOneCopy) {
+  // Y and X sit in slots 0 and 1.  B's insert of K misses and parks while
+  // building its node.  A inserts K (slot 2), then erases X, so slot 1 is
+  // a tombstone in front of A's copy.  B resumes: its store must not put a
+  // second K into that tombstone.
+  ZeroMap map;
+  const auto insert = [&map](std::uint64_t key, std::uint64_t value,
+                             bool* inserted) {
+    return map.insert_or_get(
+        key, [&] { return new ZeroMap::Node{key, value}; }, inserted);
+  };
+  Epoch::Guard guard(Epoch::global());
+  bool ins = false;
+  ASSERT_NE(insert(kY, 10, &ins), nullptr);
+  ASSERT_NE(insert(kX, 20, &ins), nullptr);
 
-using Map = HashMap<std::uint64_t, Value, SlotZero, ParkingEq>;
-Map* map = nullptr;
-std::size_t live_nodes() { return map->size(); }
-
-// Waits until `gate` parks.  On timeout opens every gate so all threads
-// finish, and returns false.
-bool parked(const Gate& gate) {
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  ZeroMap::Node* b_node = nullptr;
+  bool b_inserted = false;
+  std::thread b([&] {
+    Epoch::Guard b_guard(Epoch::global());
+    b_node = map.insert_or_get(
+        kK,
+        [&] {
+          parked.store(true);
+          while (!release.load()) std::this_thread::yield();
+          return new ZeroMap::Node{kK, 31};
+        },
+        &b_inserted);
+  });
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!gate.parked.load()) {
-    if (std::chrono::steady_clock::now() > deadline) {
-      open_all();
-      return false;
-    }
+  while (!parked.load() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
-  return true;
+  EXPECT_TRUE(parked.load()) << "B never reached make()";
+
+  bool a_inserted = false;
+  ZeroMap::Node* a_node = insert(kK, 30, &a_inserted);
+  EXPECT_TRUE(map.erase(kX));
+  release.store(true);
+  b.join();
+
+  ASSERT_NE(a_node, nullptr);
+  EXPECT_EQ(int{a_inserted} + int{b_inserted}, 1)
+      << "both racing inserts reported inserted=true";
+  EXPECT_EQ(a_node, b_node) << "the two callers got different nodes";
+  EXPECT_EQ(map.find(kK), a_node);
+  EXPECT_EQ(map.size(), 2u);
 }
 
-}  // namespace park
+// ---------------------------------------------------------------------------
+// HashMap under every step interleaving.  chk::for_each_step_interleaving
+// runs two operations once per interleaving of the map's slot accesses
+// (each one a detail::step_point()), on a 64-slot ZeroMap rebuilt per
+// schedule.  Oracle per schedule: the results and the final table equal a
+// std::map replay of one of the two sequential orders, size() equals the
+// live count, and find() reaches every live key.
 
-TEST(WfHashMap, HelpersNeverUnlinkTheCommittedCopy) {
-  // Keys Y=1 and X=2 sit in slots 0 and 1.  The announcer of K=3 installs
-  // its copy p in slot 2 and parks in its duplicate scan.  A late helper
-  // reads the op as open and parks while copying.  A helper meets p and
-  // commits it.  X is erased.  The late helper installs copy c in X's
-  // tombstone -- earlier than p -- and parks in its scan.  The announcer
-  // resumes and meets c.  p was committed, so p must stay and c must go.
-  park::reset();
-  park::Map::Options opt;
-  opt.announce_after = 0;
-  park::Map map(std::move(opt));
-  park::map = &map;
-  const auto insert = [&map](std::uint64_t key, int value, bool* inserted) {
-    Epoch::Guard guard(Epoch::global());
-    return map.insert_or_get(
-        key, [&] { return new park::Map::Node{key, park::Value(value)}; },
-        inserted);
-  };
-  bool ins = false;
-  ASSERT_NE(insert(1, 10, &ins), nullptr);
-  ASSERT_NE(insert(2, 20, &ins), nullptr);
+struct MapOp {
+  enum Kind { kInsert, kErase, kFind } kind;
+  std::uint64_t key;
+};
 
-  park::Map::Node* got = nullptr;
-  bool inserted = false;
-  std::thread announcer([&] {
-    park::role = park::Role::kAnnouncer;
-    got = insert(3, 30, &inserted);
-  });
-  // A helper polls one announce cell per operation; 2 * 64 operations on
-  // the present key Y visit the announcer's cell at least once.
-  const auto helper = [&](park::Role role, const std::atomic<bool>& copied) {
-    return std::thread([&, role] {
-      park::role = role;
-      for (int i = 0; i < 2 * 64 && !copied.load(); ++i) {
-        bool present = false;
-        insert(1, 10, &present);
-      }
-    });
-  };
-  EXPECT_TRUE(park::parked(park::announcer_scan));
-  std::thread late = helper(park::Role::kLateHelper, park::late_copied);
-  EXPECT_TRUE(park::parked(park::late_copy));
-  std::thread early = helper(park::Role::kHelper, park::helper_copied);
-  early.join();
-  EXPECT_TRUE(park::helper_copied.load());
-  {
-    Epoch::Guard guard(Epoch::global());
-    EXPECT_TRUE(map.erase(2));
+// An insert reports (inserted, value of the returned node); an erase
+// (erased, 0); a find (found, value).  Inserted nodes carry key + 100, so
+// a re-inserted key is told apart from its initial node (value = key).
+struct MapResult {
+  bool flag = false;
+  std::uint64_t value = 0;
+  bool operator==(const MapResult&) const = default;
+};
+
+MapResult apply(std::map<std::uint64_t, std::uint64_t>& table, MapOp op) {
+  const auto it = table.find(op.key);
+  switch (op.kind) {
+    case MapOp::kInsert:
+      if (it != table.end()) return {false, it->second};
+      table.emplace(op.key, op.key + 100);
+      return {true, op.key + 100};
+    case MapOp::kErase:
+      if (it == table.end()) return {};
+      table.erase(it);
+      return {true, 0};
+    case MapOp::kFind:
+      if (it == table.end()) return {};
+      return {true, it->second};
   }
-  park::late_copy.open.store(true);
-  EXPECT_TRUE(park::parked(park::late_scan));
-  park::announcer_scan.open.store(true);
-  announcer.join();
-  park::late_scan.open.store(true);
-  late.join();
+  return {};
+}
 
+MapResult apply(ZeroMap& map, MapOp op) {
   Epoch::Guard guard(Epoch::global());
-  ASSERT_NE(got, nullptr);
-  EXPECT_TRUE(inserted) << "a copy made for the op was reported as found";
-  EXPECT_EQ(map.find(3), got) << "the committed copy was unlinked";
-  EXPECT_EQ(got->value.v, 30);
-  EXPECT_EQ(map.size(), 2u);
-  park::map = nullptr;
+  switch (op.kind) {
+    case MapOp::kInsert: {
+      bool inserted = false;
+      ZeroMap::Node* n = map.insert_or_get(
+          op.key, [&] { return new ZeroMap::Node{op.key, op.key + 100}; },
+          &inserted);
+      return {inserted, n == nullptr ? 0 : n->value};
+    }
+    case MapOp::kErase:
+      return {map.erase(op.key), 0};
+    case MapOp::kFind: {
+      ZeroMap::Node* n = map.find(op.key);
+      if (n == nullptr) return {};
+      return {true, n->value};
+    }
+  }
+  return {};
+}
+
+// The first oracle rule the finished schedule breaks, or "".
+std::string check_schedule(const std::vector<std::uint64_t>& initial,
+                           const MapOp (&ops)[2], const MapResult (&got)[2],
+                           ZeroMap& map) {
+  Epoch::Guard guard(Epoch::global());
+  using Entries = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  Entries live;
+  for (std::size_t i = 0; i < map.slots(); ++i) {
+    if (ZeroMap::Node* n = map.peek(i)) live.emplace_back(n->key, n->value);
+  }
+  std::sort(live.begin(), live.end());
+  if (map.size() != live.size()) return "size() differs from the live count";
+  bool replayed = false;
+  for (const auto& order : {std::array{0, 1}, std::array{1, 0}}) {
+    std::map<std::uint64_t, std::uint64_t> table;
+    for (std::uint64_t k : initial) table.emplace(k, k);
+    MapResult want[2];
+    for (int p : order) want[p] = apply(table, ops[p]);
+    if (want[0] == got[0] && want[1] == got[1] &&
+        Entries(table.begin(), table.end()) == live) {
+      replayed = true;
+    }
+  }
+  if (!replayed) return "no sequential order gives these results and table";
+  for (const auto& [key, value] : live) {
+    ZeroMap::Node* n = map.find(key);
+    if (n == nullptr || n->value != value) {
+      return "find() misses live key " + std::to_string(key);
+    }
+  }
+  return "";
+}
+
+// Runs `ops` from `initial` (inserted in order, so key i sits in slot i)
+// under every interleaving; returns the schedule count and fails the test
+// on the first schedule that breaks the oracle.
+std::uint64_t explore(const std::vector<std::uint64_t>& initial,
+                      const MapOp (&ops)[2]) {
+  std::unique_ptr<ZeroMap> map;
+  MapResult got[2];
+  std::uint64_t failed = 0;
+  std::string first_failure;
+  const auto started = std::chrono::steady_clock::now();
+  const chk::InterleaveStats stats = chk::for_each_step_interleaving(
+      2,
+      [&](chk::StepDriver& driver) {
+        map = std::make_unique<ZeroMap>();
+        Epoch::Guard guard(Epoch::global());
+        for (std::uint64_t k : initial) {
+          bool inserted = false;
+          map->insert_or_get(
+              k, [&] { return new ZeroMap::Node{k, k}; }, &inserted);
+        }
+        for (int p = 0; p < 2; ++p) {
+          driver.spawn(p, [&, p] { got[p] = apply(*map, ops[p]); });
+        }
+      },
+      [&](const std::vector<int>& schedule) {
+        const std::string why = check_schedule(initial, ops, got, *map);
+        if (why.empty()) return;
+        if (failed++ == 0) {
+          first_failure = why + " (schedule";
+          for (int p : schedule) first_failure += " " + std::to_string(p);
+          first_failure += ")";
+        }
+      });
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - started)
+                          .count();
+  std::fprintf(stderr, "[ wf ] %llu schedules, %llu failed, %.2f s\n",
+               static_cast<unsigned long long>(stats.schedules),
+               static_cast<unsigned long long>(failed), secs);
+  EXPECT_EQ(failed, 0u) << first_failure;
+  return stats.schedules;
+}
+
+TEST(WfHashMapSteps, InsertWhileAnotherKeyOfItsClusterIsErased) {
+  // The locked rescan races the erase that turns X into a tombstone.
+  const MapOp ops[2] = {{MapOp::kInsert, kK}, {MapOp::kErase, kX}};
+  EXPECT_EQ(explore({kY, kX}, ops), 495u);
+}
+
+TEST(WfHashMapSteps, EraseAndInsertOfOneKey) {
+  // The insert either meets K or refills K's tombstone, never both.
+  const MapOp ops[2] = {{MapOp::kErase, kK}, {MapOp::kInsert, kK}};
+  EXPECT_EQ(explore({kY, kK}, ops), 35u);
+}
+
+TEST(WfHashMapSteps, FindLooksPastATombstoneMadeUnderIt) {
+  // K sits behind X; erasing X must not hide K from a concurrent find.
+  const MapOp ops[2] = {{MapOp::kErase, kX}, {MapOp::kFind, kK}};
+  EXPECT_EQ(explore({kY, kX, kK}, ops), 70u);
 }
 
 // ---------------------------------------------------------------------------
@@ -427,8 +445,7 @@ using IntCache = ClockCache<std::uint64_t, std::uint64_t>;
 TEST(WfClockCache, HitsPlusMissesEqualsLookupsUnderChurn) {
   // The reconciliation invariant the service stats tests depend on: every
   // get / lookup / get_or_insert counts exactly one hit or one miss, even
-  // while eviction, duplicate-unlink, and the detached overflow path all
-  // race.  Checked after join, when folds are exact.
+  // while eviction and the detached overflow path race.  Checked after join, when folds are exact.
   constexpr int kThreads = 6;
   constexpr int kOps = 8'000;
   constexpr std::uint64_t kKeys = 256;
