@@ -2,11 +2,13 @@
 //
 // Two questions, two benchmark families:
 //
-//   1. Engine throughput: search nodes per second, arena vs legacy, on the
-//      hardest canonical instances of bench_solvability (deep consensus
-//      refutations and 3-process renaming).  Both engines explore the
-//      identical tree (arena_test pins the node counts), so nodes/sec is a
-//      pure memory-layout comparison -- the acceptance bar is arena >= 2x.
+//   1. Engine throughput: arena search nodes per second on the hardest
+//      canonical instances of bench_solvability (deep consensus
+//      refutations and 3-process renaming).  The search tree is pinned by
+//      arena_test's node counts, so nodes/sec moves only with the engine's
+//      per-node cost.  (The pointer-based engine these arms were measured
+//      against now lives in tests/reference_search.cpp; EXPERIMENTS.md E26
+//      keeps the recorded comparison.)
 //   2. Cold vs warm start: time-to-first-answer of a fresh SdsCache with
 //      an empty store (builds the tower, publishes) against one whose
 //      store already holds the chain (mmap, zero builds).  The bar is
@@ -34,10 +36,10 @@ namespace {
 using namespace wfc;
 
 // ---------------------------------------------------------------------------
-// Family 1: arena vs legacy nodes/sec.
+// Family 1: arena search nodes/sec.
 
-/// One shared chain across iterations so the subdivision cost (identical
-/// for both engines) stays out of the measurement: this times the SEARCH.
+/// One shared chain across iterations so the subdivision cost stays out of
+/// the measurement: this times the SEARCH.
 std::shared_ptr<const proto::SdsChain> shared_chain(const task::Task& t,
                                                     int depth) {
   static std::map<std::string, std::shared_ptr<const proto::SdsChain>> cache;
@@ -49,10 +51,8 @@ std::shared_ptr<const proto::SdsChain> shared_chain(const task::Task& t,
   return slot;
 }
 
-void run_engine(benchmark::State& state, task::Task& t, int level,
-                task::SolveEngine engine) {
+void run_engine(benchmark::State& state, task::Task& t, int level) {
   task::SolveOptions options;
-  options.engine = engine;
   const auto chain = shared_chain(t, level);
   options.chain_provider = [&chain](const topo::ChromaticComplex&,
                                     int) { return chain; };
@@ -74,47 +74,24 @@ void run_engine(benchmark::State& state, task::Task& t, int level,
 /// (the biggest exhaustive search in the suite) and 3-process renaming.
 void BM_ConsensusRefute_Arena(benchmark::State& state) {
   task::ConsensusTask t(2, 2);
-  run_engine(state, t, static_cast<int>(state.range(0)),
-             task::SolveEngine::kArena);
+  run_engine(state, t, static_cast<int>(state.range(0)));
 }
 BENCHMARK(BM_ConsensusRefute_Arena)
     ->Arg(2)
     ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ConsensusRefute_Legacy(benchmark::State& state) {
-  task::ConsensusTask t(2, 2);
-  run_engine(state, t, static_cast<int>(state.range(0)),
-             task::SolveEngine::kLegacy);
-}
-BENCHMARK(BM_ConsensusRefute_Legacy)
-    ->Arg(2)
-    ->Arg(3)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_Renaming3_Arena(benchmark::State& state) {
   task::RenamingTask t(3, static_cast<int>(state.range(0)));
-  run_engine(state, t, 1, task::SolveEngine::kArena);
+  run_engine(state, t, 1);
 }
 BENCHMARK(BM_Renaming3_Arena)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 
-void BM_Renaming3_Legacy(benchmark::State& state) {
-  task::RenamingTask t(3, static_cast<int>(state.range(0)));
-  run_engine(state, t, 1, task::SolveEngine::kLegacy);
-}
-BENCHMARK(BM_Renaming3_Legacy)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
-
 void BM_SetConsensus33_Arena(benchmark::State& state) {
   task::KSetConsensusTask t(3, 2);
-  run_engine(state, t, 1, task::SolveEngine::kArena);
+  run_engine(state, t, 1);
 }
 BENCHMARK(BM_SetConsensus33_Arena)->Unit(benchmark::kMillisecond);
-
-void BM_SetConsensus33_Legacy(benchmark::State& state) {
-  task::KSetConsensusTask t(3, 2);
-  run_engine(state, t, 1, task::SolveEngine::kLegacy);
-}
-BENCHMARK(BM_SetConsensus33_Legacy)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Family 2: cold vs warm time-to-first-answer.

@@ -102,7 +102,6 @@ using WfCache = wf::ClockCache<std::uint64_t, std::uint64_t>;
 WfCache::Options wf_cache_options() {
   WfCache::Options o;
   o.max_entries = kCacheBound;
-  o.segments = 4;
   return o;
 }
 

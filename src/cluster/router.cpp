@@ -9,7 +9,6 @@
 #include <cctype>
 #include <cerrno>
 #include <charconv>
-#include <cstdlib>
 #include <future>
 #include <map>
 #include <stdexcept>
@@ -103,20 +102,6 @@ std::string key_safe(const std::string& id) {
     }
   }
   return out;
-}
-
-/// The whole of `text` as a decimal integer, else `fallback`.
-std::int64_t int_or(const std::string& text, std::int64_t fallback) {
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : fallback;
-}
-
-std::int64_t int_or(const svc::Fields& fields, const char* key,
-                    std::int64_t fallback) {
-  const auto it = fields.find(key);
-  return it == fields.end() ? fallback
-                            : int_or(std::string(it->second), fallback);
 }
 
 }  // namespace
@@ -416,7 +401,11 @@ net::LineBackend::Outcome Router::submit(const svc::Fields& fields,
   // inside its closing brace).
   p->wire = svc::replace_id(trim_space(line), "r" + std::to_string(p->seq));
 
-  const std::int64_t timeout_ms = int_or(fields, "timeout_ms", 0);
+  // A timeout_ms the shards refuse sets no deadline here: the shard's
+  // invalid_argument answers it.
+  const auto timeout_ms = static_cast<std::int64_t>(
+      svc::whole_number(fields.get("timeout_ms"), svc::kMaxIntOption)
+          .value_or(0));
   if (timeout_ms > 0) {
     p->deadline = p->submitted + std::chrono::milliseconds(timeout_ms) +
                   config_.pending_grace;
@@ -869,6 +858,7 @@ void Router::on_upstream_line(Shard& shard, std::string_view line) {
   std::string_view status;
   std::string_view hint;
   bool hint_quoted = false;
+  std::string_view shard_line_no;
   try {
     svc::FlatJsonScanner scan(line);
     svc::FlatJsonScanner::Member m;
@@ -880,6 +870,8 @@ void Router::on_upstream_line(Shard& shard, std::string_view line) {
       } else if (m.key == "retry_after_ms") {
         hint = m.value;
         hint_quoted = m.quoted;
+      } else if (m.key == "line") {
+        shard_line_no = m.value;
       }
     }
   } catch (const std::invalid_argument&) {
@@ -889,8 +881,10 @@ void Router::on_upstream_line(Shard& shard, std::string_view line) {
   // A retryable envelope with a retry_after_ms hint opens the shard's soft
   // backoff window -- whoever wins the pending race, the hint is real.
   if (status == "overloaded" || status == "resource_exhausted") {
-    const std::int64_t ms = int_or(
-        hint_quoted ? svc::unescape_json(hint) : std::string(hint), 0);
+    const auto ms = static_cast<std::int64_t>(
+        svc::whole_number(hint_quoted ? svc::unescape_json(hint) : hint,
+                          svc::kMaxIntOption)
+            .value_or(0));
     if (ms > 0) {
       const std::int64_t until =
           std::chrono::duration_cast<std::chrono::microseconds>(
@@ -907,7 +901,7 @@ void Router::on_upstream_line(Shard& shard, std::string_view line) {
     return;
   }
   shard.answered.fetch_add(1, std::memory_order_relaxed);
-  resolve_response(p, line, shard.id);
+  resolve_response(p, line, shard_line_no, shard.id);
 }
 
 void Router::on_conn_down(Shard& shard, const UpstreamConn* conn,
@@ -1016,12 +1010,25 @@ std::shared_ptr<Router::Pending> Router::take_pending(std::uint64_t seq,
 
 void Router::resolve_response(const std::shared_ptr<Pending>& p,
                               std::string_view response,
+                              std::string_view shard_line_no,
                               const std::string& shard_id) {
   {
     std::lock_guard<std::mutex> gl(p->mu);
     if (p->hedged && shard_id != p->primary_shard) {
       hedge_wins_.fetch_add(1, std::memory_order_relaxed);
     }
+  }
+  // A shard's error record numbers lines on the pooled upstream
+  // connection; the client reads the number of its own line instead.
+  std::string renumbered;
+  if (!shard_line_no.empty()) {
+    const auto at =
+        static_cast<std::size_t>(shard_line_no.data() - response.data());
+    renumbered.reserve(response.size() + 8);
+    renumbered.append(response.substr(0, at));
+    renumbered.append(std::to_string(p->line_no));
+    renumbered.append(response.substr(at + shard_line_no.size()));
+    response = renumbered;
   }
   // The id splice, in one pass: our "r<seq>" comes out, the client's own
   // id (escaped again -- the request reader unescaped it) goes back in.
@@ -1618,8 +1625,9 @@ std::string Router::render_membership_op(const svc::Fields& fields,
   bool ok = false;
   if (op == "cluster_add") {
     const auto host_it = fields.find("host");
-    const std::int64_t port = int_or(fields, "port", 0);
-    if (host_it == fields.end() || port <= 0 || port > 65535) {
+    const std::uint64_t port =
+        svc::whole_number(fields.get("port"), 65535).value_or(0);
+    if (host_it == fields.end() || port == 0) {
       return svc::error_record(
           id, 0, svc::Status::kInvalidArgument,
           "cluster_add: missing or invalid \"host\"/\"port\"");

@@ -332,8 +332,13 @@ class Router : public net::LineBackend {
   // advances the cause counter under the same lock.
   enum class Cause { kResponse, kTimeout, kFailed };
   std::shared_ptr<Pending> take_pending(std::uint64_t seq, Cause cause);
+  /// Relays `response` to p's client: the client's id and, in place of
+  /// `shard_line_no` (a view into `response`; empty when it has no "line"
+  /// field), the client's line number.
   void resolve_response(const std::shared_ptr<Pending>& p,
-                        std::string_view response, const std::string& shard_id);
+                        std::string_view response,
+                        std::string_view shard_line_no,
+                        const std::string& shard_id);
   void resolve_error(const std::shared_ptr<Pending>& p, svc::Status status,
                      const std::string& message, bool retryable);
 

@@ -39,12 +39,13 @@
 
 namespace wfc::model {
 
-/// The admissible subcomplex of one chain level, in both engine forms.
+/// The admissible subcomplex of one chain level, as a complex and as the
+/// arena the search runs over.
 struct Restriction {
   /// Pruned level complex: kept vertices in ascending original-id order,
   /// maximal admissible simplices as facets in lexicographic order.
   std::shared_ptr<const topo::ChromaticComplex> complex;
-  /// Arena::build(*complex) -- what the kArena engine searches.
+  /// Arena::build(*complex) -- what the search runs over.
   topo::Arena arena;
   /// to_base[pruned vertex id] = vertex id in SDS^level(I).
   std::vector<topo::VertexId> to_base;

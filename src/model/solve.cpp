@@ -9,10 +9,8 @@ namespace wfc::model {
 task::LevelRestrictor make_restrictor(std::shared_ptr<const Model> model) {
   if (model == nullptr || model->is_wait_free()) return {};
   return [model = std::move(model)](const proto::SdsChain& chain, int level)
-             -> std::optional<task::LevelRestriction> {
-    Restriction res = restrict_level(chain, level, *model);
-    return task::LevelRestriction{std::move(res.arena),
-                                  std::move(res.complex)};
+             -> std::optional<topo::Arena> {
+    return restrict_level(chain, level, *model).arena;
   };
 }
 

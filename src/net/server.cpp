@@ -23,6 +23,8 @@ namespace wfc::net {
 namespace {
 
 constexpr int kMaxEvents = 64;
+/// drain(): force-close connections still busy past this deadline.
+constexpr std::chrono::milliseconds kDrainTimeout{10'000};
 /// Stop slurping one socket after this much in a single readable event so a
 /// blasting client cannot starve its loop-mates (level-triggered epoll
 /// re-arms for the rest).
@@ -250,7 +252,7 @@ void Server::stop() {
 
 void Server::drain() {
   if (!started_.load() || stopping_.load()) return;
-  drain_deadline_ = std::chrono::steady_clock::now() + config_.drain_timeout;
+  drain_deadline_ = std::chrono::steady_clock::now() + kDrainTimeout;
   draining_.store(true, std::memory_order_release);
   for (const std::shared_ptr<Loop>& loop : loops_) loop->kick();
   while (counters_->active.load(std::memory_order_relaxed) != 0 &&

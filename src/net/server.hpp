@@ -47,10 +47,10 @@
 // Lifecycle: start() binds and spawns the loops; stop() closes everything
 // immediately; drain() (the SIGTERM path) closes the listener, lets
 // inflight queries finish and flushes their responses, then closes --
-// bounded by `drain_timeout`.  Idle connections (no traffic for
-// `idle_timeout`) are closed by their loop.  The Server must be destroyed
-// BEFORE the QueryService it serves (completion callbacks hold weak
-// references, so late completions after stop() are safely dropped).
+// force-closing connections still busy after 10 s.  Idle connections (no
+// traffic for `idle_timeout`) are closed by their loop.  The Server must be
+// destroyed BEFORE the QueryService it serves (completion callbacks hold
+// weak references, so late completions after stop() are safely dropped).
 #pragma once
 
 #include <atomic>
@@ -97,8 +97,6 @@ struct ServerConfig {
   /// values surface write backpressure after a few KB (a tuning / test
   /// knob; the idle-timeout tests rely on it).
   int sndbuf_bytes = 0;
-  /// drain(): force-close connections still busy past this deadline.
-  std::chrono::milliseconds drain_timeout{10'000};
 };
 
 class Server {
@@ -145,9 +143,8 @@ class Server {
   void stop();
 
   /// Graceful shutdown: stop accepting, keep serving until every
-  /// connection's inflight queries have answered and flushed (or
-  /// drain_timeout passes, then force-close), then stop.  Idempotent with
-  /// stop().
+  /// connection's inflight queries have answered and flushed (or 10 s
+  /// pass, then force-close), then stop.  Idempotent with stop().
   void drain();
 
   [[nodiscard]] Stats stats() const;

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -67,39 +66,29 @@ void check_depth_cap(const Fields& fields, int max_depth) {
   }
 }
 
-/// Query option `key` (nullopt when absent): the whole value as a decimal
-/// integer in [0, max].  Anything else -- a sign, a fraction, trailing
-/// text, an overflow -- answers invalid_argument naming the field.
+/// Query option `key` (nullopt when absent) under svc::whole_number's
+/// rule; a value that breaks it answers invalid_argument naming the field.
 std::optional<std::uint64_t> option_field(const Fields& fields,
                                           std::string_view key,
                                           std::uint64_t max) {
   const auto it = fields.find(key);
   if (it == fields.end()) return std::nullopt;
-  const std::string_view text = it->second;
-  std::uint64_t value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (text.empty() || ec != std::errc() || end != text.data() + text.size() ||
-      value > max) {
-    throw std::invalid_argument("field \"" + std::string(key) +
-                                "\" is not a non-negative integer: " +
-                                std::string(text));
-  }
-  return value;
+  if (const auto value = whole_number(it->second, max)) return value;
+  throw std::invalid_argument("field \"" + std::string(key) +
+                              "\" is not a non-negative integer: " +
+                              std::string(it->second));
 }
 
 QueryOptions parse_query_options(const Fields& fields, int default_max_level) {
-  constexpr auto kIntMax =
-      static_cast<std::uint64_t>(std::numeric_limits<int>::max());
   QueryOptions options;
   options.max_level = static_cast<int>(
-      option_field(fields, "max_level", kIntMax)
+      option_field(fields, "max_level", kMaxIntOption)
           .value_or(static_cast<std::uint64_t>(default_max_level)));
   if (const auto budget = option_field(
           fields, "budget", std::numeric_limits<std::uint64_t>::max())) {
     options.node_budget = *budget;
   }
-  if (const auto timeout = option_field(fields, "timeout_ms", kIntMax)) {
+  if (const auto timeout = option_field(fields, "timeout_ms", kMaxIntOption)) {
     options.timeout = std::chrono::milliseconds(*timeout);
   }
   return options;
@@ -177,14 +166,10 @@ RequestHandler::RequestHandler(QueryService& service, HandlerConfig config)
       started_(std::chrono::steady_clock::now()),
       interned_(decltype(interned_)::Options{
           .max_entries = intern_bound(config_.max_interned_tasks),
-          .min_slots = 64,
-          .segments = 4,
-          .keep_hottest = true}),
+          .min_slots = 64}),
       models_(decltype(models_)::Options{
           .max_entries = intern_bound(config_.max_interned_tasks),
-          .min_slots = 16,
-          .segments = 4,
-          .keep_hottest = true}) {}
+          .min_slots = 16}) {}
 
 RequestHandler::ParsedLine RequestHandler::parse(std::string_view line,
                                                  int line_no) {

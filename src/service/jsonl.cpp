@@ -415,6 +415,18 @@ RequestLine read_request(std::string_view line, int line_no,
   return out;
 }
 
+std::optional<std::uint64_t> whole_number(std::string_view text,
+                                          std::uint64_t max) {
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc() || end != text.data() + text.size() ||
+      value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 std::string error_record(std::string_view id, int line_no, Status status,
                          std::string_view message,
                          std::uint64_t retry_after_ms) {

@@ -17,7 +17,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -124,6 +126,19 @@ struct RequestLine {
 /// parses the rest with parse_flat_json.  Never throws.
 RequestLine read_request(std::string_view line, int line_no,
                          std::size_t max_line_bytes);
+
+/// The rule every numeric query option ("max_level", "budget",
+/// "timeout_ms") follows: the whole of `text` is a decimal integer in
+/// [0, max].  nullopt for anything else -- empty text, a sign, a fraction,
+/// trailing text, a value over `max`.
+[[nodiscard]] std::optional<std::uint64_t> whole_number(std::string_view text,
+                                                        std::uint64_t max);
+
+/// The bound on "max_level" and "timeout_ms": both become ints.  A shard
+/// answers a larger value invalid_argument, and the router sets no
+/// deadline for one.
+inline constexpr std::uint64_t kMaxIntOption =
+    static_cast<std::uint64_t>(std::numeric_limits<int>::max());
 
 /// The error record for a line that produced no query result: the request
 /// "id" when known, the status token, the offending 1-based line number,

@@ -22,6 +22,9 @@ namespace wfc::svc {
 
 namespace {
 
+/// retry_after_ms hint used before any latency history exists.
+constexpr std::uint32_t kRetryAfterMsBase = 50;
+
 int resolve_workers(int requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -144,14 +147,9 @@ QueryService::QueryService(Options options)
                                      options_.admission_policy}),
       memo_capacity_(options_.result_memo_entries),
       memo_(ResultMemo::Options{.max_entries = memo_capacity_,
-                                .min_slots = 64,
-                                .segments = 4,
-                                .keep_hottest = true}),
+                                .min_slots = 64}),
       pool_(resolve_workers(options_.workers)) {
   if (observer_.enabled()) init_observability();
-  max_inflight_ = options_.max_inflight > 0
-                      ? std::min(options_.max_inflight, pool_.size())
-                      : pool_.size();
   for (int i = 0; i < pool_.size(); ++i) {
     pool_.submit([this] { worker_loop(); });
   }
@@ -443,28 +441,14 @@ std::uint64_t QueryService::degraded_budget(std::uint64_t requested,
 std::uint32_t QueryService::retry_hint() {
   const std::uint64_t ewma =
       ewma_exec_micros_.load(std::memory_order_relaxed);
-  if (ewma == 0) return options_.retry_after_ms_base;
+  if (ewma == 0) return kRetryAfterMsBase;
   const std::uint64_t per_query_ms = std::max<std::uint64_t>(1, ewma / 1000);
   const std::uint64_t backlog = queue_.depth() + 1;
   const std::uint64_t parallel =
-      static_cast<std::uint64_t>(std::max(1, max_inflight_));
+      static_cast<std::uint64_t>(std::max(1, pool_.size()));
   const std::uint64_t hint = per_query_ms * backlog / parallel;
   return static_cast<std::uint32_t>(
       std::clamp<std::uint64_t>(hint, 1, 10'000));
-}
-
-void QueryService::acquire_inflight_slot() {
-  std::unique_lock<std::mutex> lock(inflight_mu_);
-  inflight_cv_.wait(lock, [this] { return inflight_ < max_inflight_; });
-  ++inflight_;
-}
-
-void QueryService::release_inflight_slot() {
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    --inflight_;
-  }
-  inflight_cv_.notify_one();
 }
 
 void QueryService::run_job(const std::shared_ptr<Job>& job) {
@@ -503,7 +487,6 @@ void QueryService::run_job(const std::shared_ptr<Job>& job) {
   const std::uint64_t budget =
       degraded_budget(job->query.options.node_budget, &degraded);
 
-  acquire_inflight_slot();
   const std::uint64_t watch_handle = watchdog_.watch(
       job->cancel, std::shared_ptr<const std::atomic<std::uint64_t>>(
                        job, &job->progress),
@@ -516,7 +499,6 @@ void QueryService::run_job(const std::shared_ptr<Job>& job) {
                                job->deadline, budget, &job->progress,
                                job->trace);
   const bool watchdog_killed = watchdog_.unwatch(watch_handle);
-  release_inflight_slot();
   if (metrics_.exec_us != nullptr) {
     metrics_.exec_us->observe(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -612,7 +594,7 @@ task::SolveResult QueryService::run_solve(
     // key (tag != 0) or another model's (distinct tags).
     opts.restrictor = [this, &timed, &model, &trace](
                           const proto::SdsChain& chain,
-                          int level) -> std::optional<task::LevelRestriction> {
+                          int level) -> std::optional<topo::Arena> {
       const std::uint64_t key = model::mix_fingerprint(
           topo::complex_fingerprint(chain.level(0)), model->tag());
       const SdsCache::Builder restrict =
@@ -632,7 +614,7 @@ task::SolveResult QueryService::run_solve(
         return cache_.acquire(key, model->tag(), level, restrict, built,
                               trace);
       });
-      return task::LevelRestriction{restricted->arena(level), nullptr};
+      return restricted->arena(level);
     };
   }
   auto span = trace.span(obs::SpanKind::kSearch);

@@ -265,12 +265,6 @@ class QueryService {
     std::size_t max_queue_depth = 1024;
     AdmissionQueue::Policy admission_policy =
         AdmissionQueue::Policy::kRejectNew;
-    /// Concurrent executions allowed (0 = one per worker).  Lowering it
-    /// below `workers` reserves workers for queue turnover (fast-failing
-    /// expired queries) under load.
-    int max_inflight = 0;
-    /// retry_after_ms hint used before any latency history exists.
-    std::uint32_t retry_after_ms_base = 50;
     /// Under queue pressure (>= 1/4 full) run searches at half the node
     /// budget, (>= 1/2 full) at a quarter: overloaded service answers more
     /// queries kUnknown instead of queueing doomed full-size searches.
@@ -429,8 +423,8 @@ class QueryService {
   };
 
   void worker_loop();
-  /// Dequeue-side handling: deadline re-check, chaos hook, inflight gate,
-  /// watchdog bracket, execution, terminal status.
+  /// Dequeue-side handling: deadline re-check, chaos hook, watchdog
+  /// bracket, execution, terminal status.
   void run_job(const std::shared_ptr<Job>& job);
   /// Completes `job` without running it (shed, shutdown, expired).
   void finish_without_running(const std::shared_ptr<Job>& job, Status status);
@@ -455,8 +449,6 @@ class QueryService {
   std::uint64_t degraded_budget(std::uint64_t requested, bool* degraded);
   /// Client backoff estimate from queue depth and recent latency.
   std::uint32_t retry_hint();
-  void acquire_inflight_slot();
-  void release_inflight_slot();
   /// The Prop 3.1 search behind op "solve" and model-restricted
   /// "convergence".  Builds the one task::SolveOptions both run: budget,
   /// cancel token, deadline, progress, search checkpoints, the cached chain
@@ -490,11 +482,6 @@ class QueryService {
   wf::MaxCell queue_max_micros_;
   wf::MaxCell check_max_depth_;
   std::atomic<std::uint64_t> ewma_exec_micros_{0};
-
-  std::mutex inflight_mu_;
-  std::condition_variable inflight_cv_;
-  int inflight_ = 0;
-  int max_inflight_ = 1;
 
   std::mutex tokens_mu_;
   std::vector<std::weak_ptr<std::atomic<bool>>> live_tokens_;

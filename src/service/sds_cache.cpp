@@ -27,8 +27,6 @@ SdsCache::SdsCache(Options options)
           .max_entries = options_.max_entries,
           .max_weight = options_.max_resident_vertices,
           .min_slots = 64,
-          .segments = 4,
-          .keep_hottest = true,
       }) {
   if (!options_.store.dir.empty()) {
     store_ = std::make_unique<store::ChainStore>(options_.store);

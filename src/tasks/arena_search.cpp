@@ -16,19 +16,15 @@ using topo::kNoVertex;
 using topo::Simplex;
 using topo::VertexId;
 
-// Mirrors the legacy engine (solvability.cpp) so the interrupt cadence --
-// and therefore the node accounting -- is identical.
+/// How often (in explored nodes) the deadline clock is consulted; the cancel
+/// token is a relaxed atomic load and is checked at every node.  Part of
+/// the search-order contract: interrupted searches count their nodes at
+/// this cadence.
 constexpr std::uint64_t kDeadlineCheckMask = 0x3ff;
 
 bool deadline_passed(const SolveOptions& options) {
   return options.deadline &&
          std::chrono::steady_clock::now() >= *options.deadline;
-}
-
-bool cancel_requested(const SolveOptions& options) {
-  return (options.cancel &&
-          options.cancel->load(std::memory_order_relaxed)) ||
-         deadline_passed(options);
 }
 
 inline bool test_bit(const std::uint64_t* row, std::uint32_t i) {
@@ -90,7 +86,7 @@ class ArenaSearcher {
 
   void build_output_tables() {
     // compat_[a] bit b <=> {a, b} is a simplex of O: any pair inside a
-    // facet, plus the diagonal (matches the legacy compat_ matrix).
+    // facet, plus the diagonal.
     compat_.assign(static_cast<std::size_t>(m_) * words_, 0);
     out_colors_.resize(m_);
     for (VertexId w = 0; w < m_; ++w) {
@@ -134,9 +130,9 @@ class ArenaSearcher {
 
   void build_constraints() {
     // Carrier classes: one id per distinct face base-carrier.  The arena
-    // face table holds every deduplicated face of size >= 2 in the same
-    // first-emission order the legacy engine enumerates, so constraint
-    // indices line up with face indices.
+    // face table holds every deduplicated face of size >= 2 in
+    // ChromaticComplex::for_each_face's first-emission order, so
+    // constraint indices line up with face indices.
     const std::uint32_t n_faces = in_->num_faces();
     face_cls_.resize(n_faces);
     std::map<Simplex, std::uint32_t> cls_ids;
@@ -269,8 +265,9 @@ class ArenaSearcher {
     return true;
   }
 
-  /// AC-3 over the edge constraints; bit-parallel support checks.  Same
-  /// fixpoint (and wipe-out detection) as the legacy engine.
+  /// AC-3 over the edge constraints, seeded with the arcs pointing at
+  /// `start` (every arc at the root); bit-parallel support checks.
+  /// Returns false on a domain wipe-out.
   bool propagate(VertexId start) {
     queue_.clear();
     if (start == kNoVertex) {
@@ -380,7 +377,7 @@ class ArenaSearcher {
     if (v == kNoVertex) return Solvability::kSolvable;
     // Snapshot v's domain into this depth's slice: propagation from deeper
     // levels mutates the live row.  Bit order IS ascending output-id order,
-    // matching the legacy engine's sorted snapshot.
+    // the contract's value order.
     std::uint64_t* snap =
         snapshots_.data() + depth * static_cast<std::size_t>(words_);
     std::copy(dom_row(v), dom_row(v) + words_, snap);
@@ -462,6 +459,12 @@ class ArenaSearcher {
 };
 
 }  // namespace
+
+bool cancel_requested(const SolveOptions& options) {
+  return (options.cancel &&
+          options.cancel->load(std::memory_order_relaxed)) ||
+         deadline_passed(options);
+}
 
 Solvability arena_search(const Task& task, const topo::Arena& arena,
                          const SolveOptions& options,

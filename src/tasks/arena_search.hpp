@@ -1,6 +1,5 @@
-// Arena-core Prop 3.1 search: the same exact backtracking + AC-3 decision
-// procedure as the legacy Search in solvability.cpp, rebuilt over the flat
-// topo::Arena form of SDS^b(I) so the inner loop is cache-linear:
+// The Prop 3.1 search: exact backtracking + AC-3 over the flat topo::Arena
+// form of SDS^b(I), laid out so the inner loop is cache-linear:
 //
 //   * domains are per-vertex bitmask words (one bit per output vertex), so
 //     AC-3 support checks are word-wide ANDs instead of nested scans;
@@ -13,11 +12,12 @@
 //     with zero per-node allocation (trail and snapshots live in reused
 //     flat buffers).
 //
-// Equivalence contract (tested in tests/arena_test.cpp): variable order
-// (min live domain, ties to lowest id), value order (ascending output id),
-// the AC-3 fixpoints, and the interrupt cadence are identical to the
-// legacy engine, so verdict, decision map, and nodes_explored match
-// bit-for-bit; only the per-node constant factor changes.
+// Search-order contract: variable order (min live domain, ties to lowest
+// id), value order (ascending output id), the AC-3 fixpoints and the
+// interrupt cadence are fixed.  tests/reference_search.cpp keeps the
+// pointer-based search over topo::ChromaticComplex with the same contract,
+// and tests/arena_test.cpp and tests/model_test.cpp pin verdict, decision
+// map and nodes_explored to it bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +30,14 @@ namespace wfc::task {
 
 /// Runs the level search over `arena` (the flat form of SDS^b(I)) against
 /// task.output().  On kSolvable, `decision[v]` is the output vertex for
-/// arena vertex v.  `nodes` is the explored-node count (identical to the
-/// legacy engine's).
+/// arena vertex v.  `nodes` is the explored-node count.
 [[nodiscard]] Solvability arena_search(const Task& task,
                                        const topo::Arena& arena,
                                        const SolveOptions& options,
                                        std::vector<topo::VertexId>& decision,
                                        std::uint64_t& nodes);
+
+/// True once `options.cancel` is set or `options.deadline` has passed.
+[[nodiscard]] bool cancel_requested(const SolveOptions& options);
 
 }  // namespace wfc::task

@@ -9,6 +9,9 @@
 //     simplex of O allowed for the face's carrier.  Because Delta is
 //     face-closed (see task.hpp), partial-assignment pruning is sound, so
 //     kUnsolvable answers are genuine impossibility proofs for that level.
+// The search walks the flat topo::Arena form of each level
+// (tasks/arena_search.hpp); tests/reference_search.cpp keeps the
+// pointer-based search it is checked against.
 //
 // By the paper's main theorem (the §4 emulation plus [8]), "solvable at some
 // level b" is equivalent to wait-free solvability in read/write shared
@@ -66,40 +69,21 @@ using ChainProvider =
     std::function<std::shared_ptr<const proto::SdsChain>(
         const topo::ChromaticComplex& input, int depth)>;
 
-/// A per-level restriction of the search: the admissible subcomplex of
-/// SDS^level(I) under some sub-IIS model (wfc::model derives these by
-/// pruning the level's arena; solvability itself stays model-agnostic).
-/// Vertex colors, carriers, and base carriers are those of the original
-/// level, so Delta constraints transfer unchanged -- but vertex IDS are the
-/// pruned complex's own, so a restricted SolveResult's decision indexes the
-/// restriction, not SDS^level(I), and result.chain stays null.
-struct LevelRestriction {
-  /// What the kArena engine searches.  Zero facets = no admissible runs at
-  /// this level: the level is unsolvable by definition (a simplicial map
-  /// must exist on SOME admissible complex, and the search over an empty
-  /// complex would be vacuously solvable).
-  topo::Arena arena;
-  /// Complex form for the kLegacy engine; may be null, in which case the
-  /// arena is materialized on demand.
-  std::shared_ptr<const topo::ChromaticComplex> complex;
-};
-
-/// Supplies the restriction for one level of the (full) chain, or nullopt
-/// for "search the level unrestricted".  Must be pure per (chain, level).
-using LevelRestrictor =
-    std::function<std::optional<LevelRestriction>(
-        const proto::SdsChain& chain, int level)>;
-
-/// Which backtracking engine runs the Prop 3.1 search.  Both explore the
-/// identical search tree (same variable/value order, same AC-3 fixpoints)
-/// and return identical verdicts, decisions, and node counts; kArena walks
-/// flat topo::Arena spans with bitmask domains and precomputed pair tables
-/// (tasks/arena_search.cpp), kLegacy walks the pointer-based
-/// ChromaticComplex and is kept as the reference/baseline engine.
-enum class SolveEngine {
-  kArena,
-  kLegacy,
-};
+/// Supplies the search space of one level of the (full) chain: the
+/// admissible subcomplex of SDS^level(I) under some sub-IIS model, as an
+/// arena (wfc::model derives these by pruning the level's arena;
+/// solvability itself stays model-agnostic), or nullopt for "search the
+/// level unrestricted".  Must be pure per (chain, level).
+///
+/// Zero facets means no admissible run reaches the level: the level is
+/// unsolvable by definition (a simplicial map must exist on SOME admissible
+/// complex, and the search over an empty complex would be vacuously
+/// solvable).  Vertex colors, carriers and base carriers are those of the
+/// original level, so Delta constraints transfer unchanged -- but vertex
+/// IDS are the pruned complex's own, so a restricted SolveResult's decision
+/// indexes the restriction, not SDS^level(I), and result.chain stays null.
+using LevelRestrictor = std::function<std::optional<topo::Arena>(
+    const proto::SdsChain& chain, int level)>;
 
 struct SolveOptions {
   std::uint64_t node_budget = 50'000'000;  // backtracking nodes per level
@@ -122,10 +106,8 @@ struct SolveOptions {
   /// When set, solve/solve_at_level obtain SDS chains here instead of
   /// building privately (the provider may return an already-deeper chain).
   ChainProvider chain_provider;
-  /// Search engine; kArena unless explicitly benchmarking the baseline.
-  SolveEngine engine = SolveEngine::kArena;
   /// When set, each level's search runs over restrictor(chain, level)
-  /// instead of the full level (see LevelRestriction).  Absent restrictor
+  /// instead of the full level (see LevelRestrictor).  Absent restrictor
   /// -- and a restrictor returning nullopt -- leaves the search bit-for-bit
   /// identical to an unrestricted solve.
   LevelRestrictor restrictor;

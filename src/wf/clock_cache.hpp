@@ -20,9 +20,9 @@
 //     an evict-claim bit (bit 63).  Pinning CAS-fails once a claim is
 //     set; claiming CAS-fails unless the count is zero.  One atomic word
 //     makes "evicted while pinned" structurally impossible.
-//   * keep_hottest: the entry with the globally newest ticket is never
-//     evicted (the seed never evicts the LRU head), so a one-entry cache
-//     under churn still keeps its most recent tower.
+//   * the entry with the globally newest ticket is never evicted (the seed
+//     never evicts the LRU head), so a one-entry cache under churn still
+//     keeps its most recent tower.
 //   * shed(target): evict coldest-first until ~target weight is released.
 //   * clear(): drop every unpinned entry without counting evictions.
 //
@@ -39,6 +39,7 @@
 // ticket and weight, and nothing reconciles duplicates.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -63,11 +64,6 @@ class ClockCache {
     std::size_t max_weight = 0;
     /// Lower bound on table slots (also sized to 2x max_entries).
     std::size_t min_slots = 64;
-    /// Independent clock hands; eviction laps start from the calling
-    /// thread's hand so concurrent evictors spread over the table.
-    std::size_t segments = 4;
-    /// Never evict the most recently touched entry.
-    bool keep_hottest = true;
   };
 
   // Per-entry bookkeeping wrapped around the payload.  An entry is built
@@ -144,11 +140,6 @@ class ClockCache {
     }
     mo.min_slots = want;
     map_ = std::make_unique<Map>(mo);
-    segments_ = options_.segments == 0 ? 1 : options_.segments;
-    hands_ = std::make_unique<std::atomic<std::size_t>[]>(segments_);
-    for (std::size_t s = 0; s < segments_; ++s) {
-      hands_[s].store(0, std::memory_order_relaxed);
-    }
   }
 
   /// Pinned lookup.  Counts a hit or miss; a null handle means absent.
@@ -314,11 +305,11 @@ class ClockCache {
   // One eviction: up to two CLOCK laps from this thread's hand.  Lap one
   // spends reference bits; lap two sees them cleared.  Among unpinned,
   // unreffed entries the minimum age ticket wins (exact-LRU choice when
-  // sequential), except the globally hottest entry when keep_hottest.
+  // sequential), except the globally hottest entry.
   bool evict_one(std::size_t* released) {
     auto guard = Epoch::global().pin();
     const std::size_t n = map_->slots();
-    std::atomic<std::size_t>& hand = hands_[thread_slot() % segments_];
+    std::atomic<std::size_t>& hand = hands_[thread_slot() % kSegments];
     const std::size_t start = hand.load(std::memory_order_relaxed);
     for (int lap = 0; lap < 2; ++lap) {
       Node* best = nullptr;
@@ -347,10 +338,7 @@ class ClockCache {
         }
       }
       telemetry().evict_scans.inc(scanned);
-      if (best != nullptr && options_.keep_hottest && best == hottest) {
-        best = nullptr;
-      }
-      if (best == nullptr) continue;
+      if (best == nullptr || best == hottest) continue;
       Entry& e = best->value;
       if (!try_claim(e)) {
         telemetry().cas_retries.inc();
@@ -370,10 +358,13 @@ class ClockCache {
     return false;
   }
 
+  /// Independent clock hands; eviction laps start from the calling
+  /// thread's hand so concurrent evictors spread over the table.
+  static constexpr std::size_t kSegments = 4;
+
   Options options_;
   std::unique_ptr<Map> map_;
-  std::size_t segments_ = 1;
-  std::unique_ptr<std::atomic<std::size_t>[]> hands_;
+  std::array<std::atomic<std::size_t>, kSegments> hands_{};
   std::atomic<std::size_t> weight_{0};
   std::atomic<std::uint64_t> ticket_{0};
   Counter hits_;

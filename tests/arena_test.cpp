@@ -9,11 +9,11 @@
 //      skew, and corrupted CSR tables with std::invalid_argument instead
 //      of serving out-of-bounds spans.
 //   3. Engine equivalence: the arena search explores the IDENTICAL tree as
-//      the legacy ChromaticComplex search -- same verdicts, same decision
-//      maps, same nodes_explored, level by level, across the canonical
-//      task families.  (Same discipline as chain_reuse_test: any
-//      divergence in the exact node count means the rewrite changed the
-//      search, not just its memory layout.)
+//      the reference ChromaticComplex search (reference_search.hpp) --
+//      same verdicts, same decision maps, same nodes_explored, level by
+//      level, across the canonical task families.  (Same discipline as
+//      chain_reuse_test: any divergence in the exact node count means the
+//      arena engine changed the search, not just its memory layout.)
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -21,6 +21,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "reference_search.hpp"
 #include "tasks/canonical.hpp"
 #include "tasks/solvability.hpp"
 #include "topology/arena.hpp"
@@ -157,14 +158,13 @@ std::vector<Case> canonical_cases() {
 TEST(ArenaSearch, MatchesLegacyEngineExactly) {
   for (const Case& c : canonical_cases()) {
     SCOPED_TRACE(c.task->name());
+    const reference::LevelComplex levels =
+        reference::full_levels(*c.task, c.max_level);
     for (int level = 0; level <= c.max_level; ++level) {
       SCOPED_TRACE("level=" + std::to_string(level));
-      SolveOptions arena_opts;
-      arena_opts.engine = SolveEngine::kArena;
-      SolveOptions legacy_opts;
-      legacy_opts.engine = SolveEngine::kLegacy;
-      const SolveResult a = solve_at_level(*c.task, level, arena_opts);
-      const SolveResult l = solve_at_level(*c.task, level, legacy_opts);
+      const SolveResult a = solve_at_level(*c.task, level);
+      const SolveResult l =
+          reference::solve_at_level(*c.task, level, *levels(level));
       EXPECT_EQ(a.status, l.status);
       EXPECT_EQ(a.level, l.level);
       EXPECT_EQ(a.nodes_explored, l.nodes_explored)
@@ -175,21 +175,27 @@ TEST(ArenaSearch, MatchesLegacyEngineExactly) {
 }
 
 TEST(ArenaSearch, MatchesLegacyUnderBudgetExhaustion) {
-  // A budget small enough to cut both searches off mid-tree: the kUnknown
-  // verdict AND the exact node count at which it triggers must agree.
-  ConsensusTask task(2, 2);
-  for (const std::uint64_t budget : {1ull, 7ull, 50ull}) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
-    SolveOptions arena_opts;
-    arena_opts.engine = SolveEngine::kArena;
-    arena_opts.node_budget = budget;
-    SolveOptions legacy_opts;
-    legacy_opts.engine = SolveEngine::kLegacy;
-    legacy_opts.node_budget = budget;
-    const SolveResult a = solve(task, 2, arena_opts);
-    const SolveResult l = solve(task, 2, legacy_opts);
-    EXPECT_EQ(a.status, l.status);
-    EXPECT_EQ(a.nodes_explored, l.nodes_explored);
+  // Budgets that cut searches off mid-tree (set-consensus at all three,
+  // approx at 1 and 7, renaming and identity at 1) and, at 50, let the
+  // cheap levels finish: the verdict, the exact node count at which the
+  // budget triggers, and any decision found after it must agree.
+  // (Consensus refutes every level at the root, with 0 nodes.)
+  for (const Case& c : canonical_cases()) {
+    SCOPED_TRACE(c.task->name());
+    const reference::LevelComplex levels =
+        reference::full_levels(*c.task, c.max_level);
+    for (const std::uint64_t budget : {1ull, 7ull, 50ull}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget));
+      SolveOptions opts;
+      opts.node_budget = budget;
+      const SolveResult a = solve(*c.task, c.max_level, opts);
+      const SolveResult l =
+          reference::solve(*c.task, c.max_level, levels, opts);
+      EXPECT_EQ(a.status, l.status);
+      EXPECT_EQ(a.level, l.level);
+      EXPECT_EQ(a.nodes_explored, l.nodes_explored);
+      EXPECT_EQ(a.decision, l.decision);
+    }
   }
 }
 

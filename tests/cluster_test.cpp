@@ -457,6 +457,44 @@ TEST(ClusterRouter, RequestsWithoutIdsAreAnsweredWithoutIds) {
   EXPECT_EQ(field(fields, "status"), "ok");
 }
 
+TEST(ClusterRouter, OutOfRangeTimeoutSetsNoRouterDeadline) {
+  // The largest int64 timeout_ms: far past what a shard accepts (INT_MAX)
+  // and past what a steady_clock deadline can hold.  The router arms no
+  // deadline and no hedge for it; the shard's refusal is the answer.
+  TestCluster cluster(1);
+  net::Client client = cluster.connect(10s);
+  const Fields fields = parse(client.roundtrip(
+      R"({"id":"t","op":"solve","task":"consensus","procs":2,"values":2,)"
+      R"("timeout_ms":9223372036854775807})"));
+  EXPECT_EQ(field(fields, "id"), "t");
+  EXPECT_EQ(field(fields, "status"), "invalid_argument");
+  EXPECT_NE(field(fields, "error").find("timeout_ms"), std::string::npos);
+  const Router::Stats stats = cluster.router->stats();
+  EXPECT_EQ(stats.timeouts, 0u);
+  EXPECT_EQ(stats.hedges, 0u);
+}
+
+TEST(ClusterRouter, RelayedErrorsCarryTheClientsLineNumber) {
+  // One pooled connection carries both clients' lines, so the shard
+  // numbers B's first line 4.  B must read its own line number.
+  RouterConfig config = fast_config();
+  config.conns_per_shard = 1;
+  TestCluster cluster(1, std::move(config));
+  net::Client a = cluster.connect(10s);
+  for (int i = 0; i < 3; ++i) {
+    const Fields fields = parse(a.roundtrip(
+        R"({"id":"a)" + std::to_string(i) +
+        R"(","op":"solve","task":"consensus","procs":2,"values":2})"));
+    EXPECT_EQ(field(fields, "status"), "ok");
+  }
+  net::Client b = cluster.connect(10s);
+  const Fields fields = parse(
+      b.roundtrip(R"({"id":"bad","op":"solve","task":"nope","procs":2})"));
+  EXPECT_EQ(field(fields, "id"), "bad");
+  EXPECT_EQ(field(fields, "status"), "invalid_argument");
+  EXPECT_EQ(field(fields, "line"), "1");
+}
+
 TEST(ClusterRouter, WireLinesAreByteIdenticalBothWays) {
   ScriptedServer scripted;
   RouterConfig config = fast_config();

@@ -19,6 +19,7 @@
 #include "model/restrict.hpp"
 #include "model/solve.hpp"
 #include "protocol/sds_chain.hpp"
+#include "reference_search.hpp"
 #include "tasks/canonical.hpp"
 #include "tasks/solvability.hpp"
 #include "topology/subdivision.hpp"
@@ -33,11 +34,8 @@ std::shared_ptr<const Model> M(const std::string& name) {
 }
 
 Solvability verdict(const task::Task& t, int max_level,
-                    const std::shared_ptr<const Model>& m,
-                    task::SolveEngine engine = task::SolveEngine::kArena) {
-  task::SolveOptions opt;
-  opt.engine = engine;
-  return solve_in_model(t, max_level, m, opt).status;
+                    const std::shared_ptr<const Model>& m) {
+  return solve_in_model(t, max_level, m).status;
 }
 
 // ---------------------------------------------------------------- RunDesc
@@ -305,18 +303,21 @@ TEST(Separations, KConcurrencyLadder) {
 }
 
 TEST(Separations, EnginesAgreeOnRestrictedSearch) {
+  // The reference search runs over the pruned complex restrict_level
+  // derives, the arena engine over its arena.
   const task::ConsensusTask consensus(2, 2);
+  const proto::SdsChain chain(consensus.input(), 2);
   for (const char* name : {"t_resilient(0)", "k_concurrency(1)"}) {
-    const task::SolveResult arena = solve_in_model(
-        consensus, 2, M(name));
-    task::SolveOptions legacy_opt;
-    legacy_opt.engine = task::SolveEngine::kLegacy;
-    const task::SolveResult legacy =
-        solve_in_model(consensus, 2, M(name), legacy_opt);
-    EXPECT_EQ(arena.status, legacy.status) << name;
-    EXPECT_EQ(arena.level, legacy.level) << name;
-    EXPECT_EQ(arena.nodes_explored, legacy.nodes_explored) << name;
-    EXPECT_EQ(arena.decision, legacy.decision) << name;
+    const auto model = M(name);
+    const task::SolveResult arena = solve_in_model(consensus, 2, model);
+    const task::SolveResult ref = task::reference::solve(
+        consensus, 2, [&](int level) {
+          return restrict_level(chain, level, *model).complex;
+        });
+    EXPECT_EQ(arena.status, ref.status) << name;
+    EXPECT_EQ(arena.level, ref.level) << name;
+    EXPECT_EQ(arena.nodes_explored, ref.nodes_explored) << name;
+    EXPECT_EQ(arena.decision, ref.decision) << name;
   }
 }
 

@@ -415,7 +415,6 @@ TEST(ChaosSoak, StormPreservesEveryInvariant) {
 
   QueryService::Options options;
   options.workers = 3;
-  options.max_inflight = 2;
   options.max_queue_depth = 8;
   options.admission_policy = AdmissionQueue::Policy::kRejectNew;
   options.degrade_budget_under_load = true;

@@ -476,11 +476,13 @@ TEST(Frontend, InternedTaskTableIsBounded) {
   HandlerConfig config;
   config.max_interned_tasks = 8;
   RequestHandler handler(service, config);
-  // 64 distinct task parameterizations; "budget":1 makes each search abort
-  // immediately so the test measures interning, not solving.
+  // 64 distinct task parameterizations, each cheap to set up (two-process
+  // approximate agreement over grids 2..65); "budget":1 makes each search
+  // abort immediately so the test measures interning, not solving.
+  std::shared_ptr<const std::string> last_label;  // the intern table's copy
   for (int i = 0; i < 64; ++i) {
     RequestHandler::ParsedLine parsed = handler.parse(
-        R"({"op":"solve","task":"consensus","procs":2,"budget":1,"values":)" +
+        R"({"op":"solve","task":"approx","procs":2,"budget":1,"grid":)" +
             std::to_string(2 + i) + "}",
         i + 1);
     ASSERT_EQ(parsed.action, RequestHandler::Action::kSubmit);
@@ -490,19 +492,20 @@ TEST(Frontend, InternedTaskTableIsBounded) {
     ASSERT_TRUE(submitted.has_value()) << error.line;
     (void)submitted->ticket.result.get();
     EXPECT_LE(handler.interned_tasks(), 8u);
+    last_label = submitted->meta.label;
   }
   EXPECT_EQ(handler.interned_tasks(), 8u);
   // A repeated request re-interns to the SAME object (LRU hit), keeping
   // result-memo identity across lines.
   RequestHandler::ParsedLine again = handler.parse(
-      R"({"op":"solve","task":"consensus","procs":2,"budget":1,"values":65})",
-      65);
+      R"({"op":"solve","task":"approx","procs":2,"budget":1,"grid":65})", 65);
   RequestHandler::Rendered error;
   std::optional<RequestHandler::Submitted> submitted =
       handler.submit(again, &error);
   ASSERT_TRUE(submitted.has_value()) << error.line;
   (void)submitted->ticket.result.get();
   EXPECT_EQ(handler.interned_tasks(), 8u);
+  EXPECT_EQ(submitted->meta.label, last_label);
 }
 
 TEST(Frontend, RequestOptionsAndModelInternToOneTask) {

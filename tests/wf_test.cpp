@@ -449,7 +449,7 @@ TEST(WfClockCache, HitsPlusMissesEqualsLookupsUnderChurn) {
   constexpr int kThreads = 6;
   constexpr int kOps = 8'000;
   constexpr std::uint64_t kKeys = 256;
-  IntCache cache(IntCache::Options{.max_entries = 64, .segments = 4});
+  IntCache cache(IntCache::Options{.max_entries = 64});
   std::vector<std::thread> ts;
   for (int t = 0; t < kThreads; ++t) {
     ts.emplace_back([&, t] {
@@ -534,8 +534,8 @@ TEST(WfClockCache, HottestEntrySurvivesChurnInATinyCache) {
     IntCache::Handle h = cache.get_or_insert(k, [&] { return k; });
     ASSERT_TRUE(h);
     h.release();
-    // keep_hottest: the entry just inserted (globally newest ticket) is
-    // never the victim, so the most recent tower survives its own insert.
+    // The entry just inserted (globally newest ticket) is never the
+    // victim, so the most recent tower survives its own insert.
     EXPECT_TRUE(cache.get(k)) << "most recent entry evicted, key " << k;
   }
 }
@@ -590,7 +590,7 @@ TEST(WfClockCache, SaturatedTableServesDetachedHandles) {
 
 TEST(WfClockCache, ConcurrentChurnReclaimsEvictedNodes) {
   {
-    IntCache cache(IntCache::Options{.max_entries = 32, .segments = 4});
+    IntCache cache(IntCache::Options{.max_entries = 32});
     constexpr int kThreads = 6;
     constexpr int kOps = 5'000;
     std::vector<std::thread> ts;
