@@ -9,6 +9,9 @@
 #include <benchmark/benchmark.h>
 
 #include "protocol/protocol_complex.hpp"
+#include "reference_subdivision.hpp"
+#include "tasks/canonical.hpp"
+#include "topology/arena.hpp"
 #include "topology/subdivision.hpp"
 
 namespace {
@@ -96,6 +99,60 @@ void BM_SnapshotComplexVsSds(benchmark::State& state) {
   state.counters["sds_facets"] = static_cast<double>(sds_facets);
 }
 BENCHMARK(BM_SnapshotComplexVsSds)->Arg(2)->Arg(3)->Unit(benchmark::kMillisecond);
+
+// One SDS level two ways, from the same level below: the complex-based
+// construction kept as the test reference (tests/reference_subdivision.cpp)
+// plus Arena::build, against topo::subdivide arena to arena.  Both
+// write the same bytes (tests/subdivision_test.cpp).  Inputs are cold-
+// corpus input complexes; the second argument is the level subdivided.
+topo::ChromaticComplex sds_input(int which) {
+  switch (which) {
+    case 0: return task::ConsensusTask(2, 2).input();
+    case 1: return task::ConsensusTask(2, 3).input();
+    case 2: return task::ConsensusTask(3, 2).input();
+    case 3: return task::KSetConsensusTask(3, 2).input();
+    case 4: return task::ApproxAgreementTask(2, 27).input();
+    default: return topo::base_simplex(3);  // with coordinates
+  }
+}
+
+topo::Arena level_below(int which, int level) {
+  topo::Arena a = topo::Arena::build(sds_input(which));
+  for (int r = 0; r < level; ++r) a = topo::subdivide(a);
+  return a;
+}
+
+void BM_SdsLevelComplexThenBuild(benchmark::State& state) {
+  const topo::ChromaticComplex below =
+      level_below(static_cast<int>(state.range(0)),
+                  static_cast<int>(state.range(1)))
+          .materialize();
+  std::uint32_t facets = 0;
+  for (auto _ : state) {
+    const topo::Arena next = topo::Arena::build(
+        reference::standard_chromatic_subdivision(below));
+    facets = next.num_facets();
+    benchmark::DoNotOptimize(next);
+  }
+  state.counters["facets"] = facets;
+}
+void BM_SdsLevelSubdivide(benchmark::State& state) {
+  const topo::Arena below = level_below(static_cast<int>(state.range(0)),
+                                        static_cast<int>(state.range(1)));
+  std::uint32_t facets = 0;
+  for (auto _ : state) {
+    const topo::Arena next = topo::subdivide(below);
+    facets = next.num_facets();
+    benchmark::DoNotOptimize(next);
+  }
+  state.counters["facets"] = facets;
+}
+BENCHMARK(BM_SdsLevelComplexThenBuild)
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SdsLevelSubdivide)
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

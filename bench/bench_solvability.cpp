@@ -3,10 +3,15 @@
 // Regenerates the solvability table: status (1 = solvable, 0 = unsolvable),
 // witness level, and search nodes for consensus, (n+1, k)-set consensus,
 // renaming, and simplex agreement, plus how the per-level refutation cost
-// of consensus grows with b.
+// of consensus grows with b, and what a level's search set-up costs with
+// and without a Delta compile.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
+#include "protocol/sds_chain.hpp"
 #include "tasks/canonical.hpp"
+#include "tasks/delta_tables.hpp"
 #include "tasks/solvability.hpp"
 #include "tasks/two_proc.hpp"
 #include "topology/structure.hpp"
@@ -178,6 +183,66 @@ BENCHMARK(BM_TwoProcCriterion)
     ->Arg(81)
     ->Arg(243)
     ->Unit(benchmark::kMillisecond);
+
+// Per-level search set-up: solve_at_level over a prebuilt tower with a
+// FRESH task object per iteration (Delta compiled into tables every time,
+// what a cold server pays once per interned task) against one reused task
+// (tables compiled once per run).  Neither arm subdivides.  Counters: the
+// search nodes and the task's Delta table bytes.
+std::unique_ptr<task::Task> setup_task(int which) {
+  switch (which) {
+    case 0: return std::make_unique<task::ConsensusTask>(2, 2);
+    case 1: return std::make_unique<task::ConsensusTask>(3, 2);
+    case 2: return std::make_unique<task::KSetConsensusTask>(3, 2);
+    case 3: return std::make_unique<task::RenamingTask>(3, 5);
+    case 4: return std::make_unique<task::ApproxAgreementTask>(2, 9);
+    case 5: return std::make_unique<task::IdentityTask>(topo::base_simplex(3));
+    case 6:
+      return std::make_unique<task::SimplexAgreementTask>(
+          3, topo::iterated_sds(topo::base_simplex(3), 2));
+    default: return std::make_unique<task::ConsensusTask>(2, 65);
+  }
+}
+
+void search_setup(benchmark::State& state, bool fresh) {
+  const int which = static_cast<int>(state.range(0));
+  const int level = static_cast<int>(state.range(1));
+  const std::unique_ptr<task::Task> shared = setup_task(which);
+  const auto chain =
+      std::make_shared<const proto::SdsChain>(shared->input(), level);
+  task::SolveOptions opts;
+  opts.chain_provider = [chain](const topo::ChromaticComplex&, int) {
+    return chain;
+  };
+  task::SolveResult r;
+  for (auto _ : state) {
+    if (fresh) {
+      state.PauseTiming();
+      const std::unique_ptr<task::Task> t = setup_task(which);
+      state.ResumeTiming();
+      r = task::solve_at_level(*t, level, opts);
+    } else {
+      r = task::solve_at_level(*shared, level, opts);
+    }
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetLabel(shared->name());
+  state.counters["nodes"] = static_cast<double>(r.nodes_explored);
+  state.counters["delta_table_bytes"] = static_cast<double>(
+      shared->delta_tables(opts)->table_bytes());
+}
+void BM_SearchSetupFreshTask(benchmark::State& state) {
+  search_setup(state, true);
+}
+void BM_SearchSetupSharedTask(benchmark::State& state) {
+  search_setup(state, false);
+}
+#define WFC_SETUP_ARGS                                                    \
+  ->Args({0, 1})->Args({1, 1})->Args({2, 1})->Args({3, 0})->Args({4, 2}) \
+      ->Args({5, 1})->Args({6, 2})->Args({7, 0})->Unit(benchmark::kMicrosecond)
+BENCHMARK(BM_SearchSetupFreshTask) WFC_SETUP_ARGS;
+BENCHMARK(BM_SearchSetupSharedTask) WFC_SETUP_ARGS;
+#undef WFC_SETUP_ARGS
 
 }  // namespace
 

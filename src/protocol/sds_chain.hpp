@@ -9,22 +9,29 @@
 // solvability checker compiles decision maps against the top level, and the
 // runtime looks itself up here to decide.
 //
-// Levels are held through shared_ptr and immutable once built, so chains
-// over the same input can SHARE them: SdsChain(prefix, depth) reuses every
-// already-built level of `prefix` and only subdivides beyond its top (or
-// merely re-points at a prefix of the levels when depth <= prefix.depth()).
+// A level is its flat topo::Arena; the ChromaticComplex form is
+// materialized from the arena only when asked for (level(), top(),
+// locate()), once per level.  In-memory levels >= 1 are written arena to
+// arena by topo::subdivide; level 0 is Arena::build of the input, which
+// also serves as level 0's complex.
+//
+// Levels are held through shared_ptr and immutable once built (a level's
+// lazily materialized complex included), so chains over the same input can
+// SHARE them: SdsChain(prefix, depth) reuses every already-built level of
+// `prefix` and only subdivides beyond its top (or merely re-points at a
+// prefix of the levels when depth <= prefix.depth()).  A shared level's
+// complex is materialized at most once across every chain holding it.
 // Iterated subdivision dominates every workload in this library; the
 // service-layer cache (src/service) leans on this to compute SDS^k(I) once
 // per input across queries and levels.
 //
 // A chain may also be BACKED: constructed over a ChainBacking that can hand
 // out each level as a flat topo::Arena (in practice an mmap'ed region of
-// the persistent chain store, shared read-only across processes).  Backed
-// chains materialize ChromaticComplex levels lazily and only on demand --
-// the arena-core solver (tasks/arena_search) runs straight off the mapped
-// spans, so a warm restart never rebuilds or even copies the tower.
-// `arena(r)` is the uniform accessor: zero-copy for backed chains, built
-// once and cached for in-memory ones.
+// the persistent chain store, shared read-only across processes).  The
+// arena-core solver (tasks/arena_search) runs straight off the mapped
+// spans, so a warm restart never rebuilds or even copies the tower, and
+// extending a backed chain subdivides the mapped top arena directly.
+// `arena(r)` is the uniform accessor.
 #pragma once
 
 #include <memory>
@@ -57,14 +64,15 @@ class SdsChain {
   /// truncation (depth < other.depth()) are O(shared levels) pointer copies.
   SdsChain(const SdsChain& other, int depth);
 
-  /// Adopts pre-serialized levels; depth() == backing->depth().  Levels
-  /// materialize lazily, arenas are zero-copy views into the backing.
+  /// Adopts pre-serialized levels; depth() == backing->depth().  Arenas are
+  /// zero-copy views into the backing.
   explicit SdsChain(std::shared_ptr<const ChainBacking> backing);
 
   [[nodiscard]] int depth() const noexcept { return depth_; }
 
-  /// Level r complex; r = 0 is the input complex.  Backed chains
-  /// materialize the level on first access (thread-safe, cached).
+  /// Level r complex; r = 0 is the input complex.  Materialized from the
+  /// level's arena on first access (thread-safe, cached, shared with every
+  /// chain sharing the level).
   [[nodiscard]] const topo::ChromaticComplex& level(int r) const;
 
   /// Top level, SDS^depth(input).
@@ -72,14 +80,14 @@ class SdsChain {
     return level(depth_);
   }
 
-  /// Flat arena form of level r: a view into the backing for backed
-  /// chains, else built on first access and cached.  The returned Arena is
-  /// a cheap value copy and stays valid independent of this chain.
+  /// Flat arena form of level r (a view into the backing for backed
+  /// levels).  The returned Arena is a cheap value copy and stays valid
+  /// independent of this chain.
   [[nodiscard]] topo::Arena arena(int r) const;
 
   /// Vertex count of level r WITHOUT materializing it (reads the arena
-  /// header for backed levels).  Lets the cache weigh lazily-backed chains
-  /// without forcing the rebuild that laziness exists to avoid.
+  /// header).  Lets the cache weigh chains without forcing the complex that
+  /// laziness exists to avoid.
   [[nodiscard]] std::size_t level_vertex_count(int r) const;
 
   /// The vertex of level `r` (r >= 1) for a processor of color `c` whose
@@ -91,17 +99,17 @@ class SdsChain {
                                       const topo::Simplex& seen) const;
 
  private:
-  // Both helpers require mu_ held (or exclusive access in a constructor);
-  // slots are written once and never reassigned, so references handed out
-  // under the lock stay valid after it is released.
-  const topo::ChromaticComplex& ensure_level(int r) const;
-  const topo::Arena& ensure_arena(int r) const;
+  struct Level;  // sds_chain.cpp
+
+  // Requires mu_ held (or exclusive access in a constructor).  Slots are
+  // written once and never reassigned, so references handed out under the
+  // lock stay valid after it is released.
+  const Level& ensure(int r) const;
 
   int depth_ = 0;
   std::shared_ptr<const ChainBacking> backing_;
   mutable std::mutex mu_;
-  mutable std::vector<std::shared_ptr<const topo::ChromaticComplex>> levels_;
-  mutable std::vector<std::shared_ptr<const topo::Arena>> arenas_;
+  mutable std::vector<std::shared_ptr<const Level>> levels_;
 };
 
 }  // namespace wfc::proto

@@ -57,15 +57,19 @@ class ImmediateSnapshot {
                 "ImmediateSnapshot: write_read called twice by one id");
     values_[ui].write(std::move(value));
     const int n_plus_1 = n_procs();
+    // The level store and the collect's loads are seq_cst: each processor
+    // writes its level and then reads everyone else's (the store-buffering
+    // pattern), and with release/acquire two processors descending together
+    // could each miss the other's store and return incomparable sets.
     for (int level = n_plus_1; level >= 1; --level) {
       detail::step_point();
-      levels_[ui].store(level, std::memory_order_release);
+      levels_[ui].store(level, std::memory_order_seq_cst);
       std::vector<int> seen;
       seen.reserve(static_cast<std::size_t>(n_plus_1));
       for (int j = 0; j < n_plus_1; ++j) {
         detail::step_point();
-        const int lj =
-            levels_[static_cast<std::size_t>(j)].load(std::memory_order_acquire);
+        const int lj = levels_[static_cast<std::size_t>(j)].load(
+            std::memory_order_seq_cst);
         if (lj != kUnset && lj <= level) seen.push_back(j);
       }
       if (static_cast<int>(seen.size()) >= level) {

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <map>
 
 #include "common/assert.hpp"
+#include "tasks/delta_tables.hpp"
 
 namespace wfc::task {
 
 namespace {
 
-using topo::ChromaticComplex;
 using topo::kNoVertex;
 using topo::Simplex;
 using topo::VertexId;
@@ -39,20 +38,18 @@ inline void clear_bit(std::uint64_t* row, std::uint32_t i) {
 
 class ArenaSearcher {
  public:
-  ArenaSearcher(const Task& task, const topo::Arena& arena,
+  ArenaSearcher(const DeltaTables& delta, const topo::Arena& arena,
                 const SolveOptions& options)
-      : task_(&task),
+      : delta_(&delta),
         in_(&arena),
-        out_(&task.output()),
         options_(&options),
         budget_(options.node_budget),
         n_(arena.num_vertices()),
-        m_(static_cast<std::uint32_t>(task.output().num_vertices())),
-        words_((m_ + 63) / 64) {
-    build_output_tables();
+        words_(delta.words()),
+        facet_words_(delta.facet_words()) {
     build_domains();
     build_constraints();
-    build_pair_tables();
+    build_pair_rows();
     snapshots_.resize(static_cast<std::size_t>(n_) * words_);
     scratch_row_.resize(words_);
     scratch_facets_.resize(facet_words_);
@@ -80,70 +77,65 @@ class ArenaSearcher {
   std::uint64_t* dom_row(VertexId v) {
     return domains_.data() + static_cast<std::size_t>(v) * words_;
   }
-  const std::uint64_t* pair_row(std::uint32_t cls, VertexId a) const {
-    return pair_[cls].data() + static_cast<std::size_t>(a) * words_;
-  }
 
-  void build_output_tables() {
-    // compat_[a] bit b <=> {a, b} is a simplex of O: any pair inside a
-    // facet, plus the diagonal.
-    compat_.assign(static_cast<std::size_t>(m_) * words_, 0);
-    out_colors_.resize(m_);
-    for (VertexId w = 0; w < m_; ++w) {
-      out_colors_[w] = out_->vertex(w).color;
-      set_bit(compat_.data() + static_cast<std::size_t>(w) * words_, w);
+  /// The class of a base carrier; consecutive lookups of one carrier (the
+  /// common case along a facet) skip the hash.
+  std::uint32_t class_of(std::span<const VertexId> bc) {
+    if (last_cls_ == DeltaTables::kNoClass ||
+        !std::ranges::equal(bc, last_bc_)) {
+      last_bc_.assign(bc.begin(), bc.end());
+      last_cls_ = delta_->class_of(bc);
+      WFC_REQUIRE(last_cls_ != DeltaTables::kNoClass,
+                  "arena_search: a base carrier is not a face of the task's "
+                  "input complex");
     }
-    const auto& facets = out_->facets();
-    const std::uint32_t n_facets = static_cast<std::uint32_t>(facets.size());
-    facet_words_ = (n_facets + 63) / 64 == 0 ? 1 : (n_facets + 63) / 64;
-    facet_bits_.assign(static_cast<std::size_t>(m_) * facet_words_, 0);
-    for (std::uint32_t fi = 0; fi < n_facets; ++fi) {
-      for (VertexId a : facets[fi]) {
-        set_bit(facet_bits_.data() + static_cast<std::size_t>(a) * facet_words_,
-                fi);
-        for (VertexId b : facets[fi]) {
-          set_bit(compat_.data() + static_cast<std::size_t>(a) * words_, b);
-        }
-      }
-    }
+    return last_cls_;
   }
 
   void build_domains() {
+    // Domain of v: the outputs allowed for v's base-carrier class, of v's
+    // color.
     domains_.assign(static_cast<std::size_t>(n_) * words_, 0);
     dom_count_.assign(n_, 0);
     const auto colors = in_->colors();
-    Simplex bc;
-    Simplex single(1);
     for (VertexId v = 0; v < n_; ++v) {
-      const auto bc_span = in_->base_carrier(v);
-      bc.assign(bc_span.begin(), bc_span.end());
+      const std::uint64_t* allowed =
+          delta_->vertex_row(class_of(in_->base_carrier(v)));
+      WFC_REQUIRE(colors[v] < delta_->n_colors(),
+                  "arena_search: an arena vertex color is not a color of the "
+                  "task's output complex");
+      const std::uint64_t* same_color =
+          delta_->color_row(static_cast<Color>(colors[v]));
       std::uint64_t* row = dom_row(v);
-      for (VertexId w = 0; w < m_; ++w) {
-        if (out_colors_[w] != static_cast<Color>(colors[v])) continue;
-        single[0] = w;
-        if (!task_->allows(bc, single)) continue;
-        set_bit(row, w);
-        ++dom_count_[v];
+      std::uint32_t count = 0;
+      for (std::size_t w = 0; w < words_; ++w) {
+        row[w] = allowed[w] & same_color[w];
+        count += static_cast<std::uint32_t>(std::popcount(row[w]));
       }
+      dom_count_[v] = count;
     }
   }
 
   void build_constraints() {
-    // Carrier classes: one id per distinct face base-carrier.  The arena
-    // face table holds every deduplicated face of size >= 2 in
-    // ChromaticComplex::for_each_face's first-emission order, so
-    // constraint indices line up with face indices.
+    // One constraint per arena face (the face table holds every
+    // deduplicated face of size >= 2 in ChromaticComplex::for_each_face's
+    // first-emission order, so constraint indices line up with face
+    // indices).  face_key_[fi] is the face's pair-row slot for an edge and
+    // its class for a larger face.
     const std::uint32_t n_faces = in_->num_faces();
-    face_cls_.resize(n_faces);
-    std::map<Simplex, std::uint32_t> cls_ids;
+    face_key_.resize(n_faces);
+    std::vector<std::uint32_t> slot_of(delta_->num_classes(), kNoSlot);
     for (std::uint32_t fi = 0; fi < n_faces; ++fi) {
-      const auto bc = in_->face_base_carrier(fi);
-      Simplex key(bc.begin(), bc.end());
-      const auto [it, inserted] =
-          cls_ids.emplace(std::move(key), static_cast<std::uint32_t>(
-                                              cls_ids.size()));
-      if (inserted) cls_carrier_.push_back(it->first);
-      face_cls_[fi] = it->second;
+      const std::uint32_t cls = class_of(in_->face_base_carrier(fi));
+      if (in_->face(fi).size() != 2) {
+        face_key_[fi] = cls;
+        continue;
+      }
+      if (slot_of[cls] == kNoSlot) {
+        slot_of[cls] = static_cast<std::uint32_t>(slot_cls_.size());
+        slot_cls_.push_back(cls);
+      }
+      face_key_[fi] = slot_of[cls];
     }
 
     // by_vertex CSR: face ids containing v, ascending.
@@ -171,10 +163,7 @@ class ArenaSearcher {
       if (f.size() != 2) continue;
       ++ncounts[f[0] + 1];
       ++ncounts[f[1] + 1];
-      pair_needed_.resize(cls_carrier_.size());
-      pair_needed_[face_cls_[fi]] = true;
     }
-    pair_needed_.resize(cls_carrier_.size());
     nbr_idx_.assign(ncounts.begin(), ncounts.end());
     for (std::size_t i = 1; i < nbr_idx_.size(); ++i) {
       nbr_idx_[i] += nbr_idx_[i - 1];
@@ -185,42 +174,62 @@ class ArenaSearcher {
       for (std::uint32_t fi = 0; fi < n_faces; ++fi) {
         const auto f = in_->face(fi);
         if (f.size() != 2) continue;
-        nbr_pool_[cursor[f[0]]++] = Arc{f[1], face_cls_[fi]};
-        nbr_pool_[cursor[f[1]]++] = Arc{f[0], face_cls_[fi]};
+        nbr_pool_[cursor[f[0]]++] = Arc{f[1], face_key_[fi]};
+        nbr_pool_[cursor[f[1]]++] = Arc{f[0], face_key_[fi]};
       }
     }
   }
 
-  void build_pair_tables() {
-    // pair_[cls] row a, bit b: {a, b} is a simplex of O AND
-    // allows(carrier(cls), {a, b}).  Computed once; the search never calls
-    // the allows oracle on an edge again.
-    pair_.resize(cls_carrier_.size());
-    Simplex edge;
-    for (std::uint32_t cls = 0; cls < cls_carrier_.size(); ++cls) {
-      if (!pair_needed_[cls]) continue;
-      auto& table = pair_[cls];
-      table.assign(static_cast<std::size_t>(m_) * words_, 0);
-      const Simplex& carrier = cls_carrier_[cls];
-      for (VertexId a = 0; a < m_; ++a) {
-        const std::uint64_t* compat_row =
-            compat_.data() + static_cast<std::size_t>(a) * words_;
-        for (VertexId b = a; b < m_; ++b) {
-          if (!test_bit(compat_row, b)) continue;
-          edge.clear();
-          edge.push_back(a);
-          if (b != a) edge.push_back(b);
-          if (!task_->allows(carrier, edge)) continue;
-          set_bit(table.data() + static_cast<std::size_t>(a) * words_, b);
-          set_bit(table.data() + static_cast<std::size_t>(b) * words_, a);
-        }
+  void build_pair_rows() {
+    // Per slot (a class on some edge face): a row over the outputs for each
+    // endpoint of the class's allowed edges, bit b of a's row <=> {a, b} is
+    // an allowed edge.  pair_keys_ marks the endpoints, pair_base_ numbers
+    // their rows word by word; any other output's row is empty.
+    pair_keys_.assign(slot_cls_.size() * words_, 0);
+    pair_base_.resize(slot_cls_.size() * words_);
+    std::uint32_t rows = 0;
+    for (std::size_t s = 0; s < slot_cls_.size(); ++s) {
+      std::uint64_t* keys = pair_keys_.data() + s * words_;
+      delta_->for_each_allowed_edge(slot_cls_[s], [&](std::uint32_t e) {
+        const auto [a, b] = delta_->edge(e);
+        set_bit(keys, a);
+        set_bit(keys, b);
+      });
+      for (std::size_t w = 0; w < words_; ++w) {
+        pair_base_[s * words_ + w] = rows;
+        rows += static_cast<std::uint32_t>(std::popcount(keys[w]));
       }
     }
+    pair_rows_.assign(static_cast<std::size_t>(rows) * words_, 0);
+    for (std::size_t s = 0; s < slot_cls_.size(); ++s) {
+      const auto slot = static_cast<std::uint32_t>(s);
+      delta_->for_each_allowed_edge(slot_cls_[s], [&](std::uint32_t e) {
+        const auto [a, b] = delta_->edge(e);
+        set_bit(pair_rows_.data() + pair_row_index(slot, a) * words_, b);
+        set_bit(pair_rows_.data() + pair_row_index(slot, b) * words_, a);
+      });
+    }
+  }
+
+  /// Index of output `a`'s row in slot `s`'s pair table, or kNoRow when no
+  /// allowed edge of the slot's class contains `a`.
+  std::size_t pair_row_index(std::uint32_t s, VertexId a) const {
+    const std::size_t at = static_cast<std::size_t>(s) * words_ + (a >> 6);
+    const std::uint64_t bit = std::uint64_t{1} << (a & 63);
+    const std::uint64_t keys = pair_keys_[at];
+    if ((keys & bit) == 0) return kNoRow;
+    return static_cast<std::size_t>(pair_base_[at]) +
+           static_cast<std::size_t>(std::popcount(keys & (bit - 1)));
+  }
+  const std::uint64_t* pair_row(std::uint32_t s, VertexId a) const {
+    const std::size_t row = pair_row_index(s, a);
+    return row == kNoRow ? nullptr : pair_rows_.data() + row * words_;
   }
 
   /// Exact check of every face constraint containing v whose members are
-  /// all assigned: the image must be a simplex of O (facet-bitset AND)
-  /// allowed for the face's carrier class.
+  /// all assigned: the image must be a simplex of O allowed for the face's
+  /// carrier class (the pair rows for an edge; facet membership and the
+  /// class's simplex table for a larger face).
   bool faces_consistent(VertexId v) {
     const std::uint32_t begin = by_vertex_idx_[v];
     const std::uint32_t end = by_vertex_idx_[v + 1];
@@ -237,17 +246,18 @@ class ArenaSearcher {
         image_.push_back(assignment_[u]);
       }
       if (!all_assigned) continue;
+      if (image_.size() == 2) {
+        const std::uint64_t* row = pair_row(face_key_[fi], image_[0]);
+        if (row == nullptr || !test_bit(row, image_[1])) return false;
+        continue;
+      }
       std::sort(image_.begin(), image_.end());
       image_.erase(std::unique(image_.begin(), image_.end()), image_.end());
       // contains_simplex: some output facet contains every image vertex.
-      const std::uint64_t* first =
-          facet_bits_.data() +
-          static_cast<std::size_t>(image_[0]) * facet_words_;
+      const std::uint64_t* first = delta_->facet_row(image_[0]);
       std::copy(first, first + facet_words_, scratch_facets_.begin());
       for (std::size_t i = 1; i < image_.size(); ++i) {
-        const std::uint64_t* row =
-            facet_bits_.data() +
-            static_cast<std::size_t>(image_[i]) * facet_words_;
+        const std::uint64_t* row = delta_->facet_row(image_[i]);
         for (std::size_t w = 0; w < facet_words_; ++w) {
           scratch_facets_[w] &= row[w];
         }
@@ -260,7 +270,7 @@ class ArenaSearcher {
         }
       }
       if (!contained) return false;
-      if (!task_->allows(cls_carrier_[face_cls_[fi]], image_)) return false;
+      if (!delta_->simplex_allowed(face_key_[fi], image_)) return false;
     }
     return true;
   }
@@ -273,12 +283,12 @@ class ArenaSearcher {
     if (start == kNoVertex) {
       for (VertexId v = 0; v < n_; ++v) {
         for (std::uint32_t k = nbr_idx_[v]; k < nbr_idx_[v + 1]; ++k) {
-          queue_.push_back(Item{nbr_pool_[k].peer, nbr_pool_[k].cls, v});
+          queue_.push_back(Item{nbr_pool_[k].peer, nbr_pool_[k].slot, v});
         }
       }
     } else {
       for (std::uint32_t k = nbr_idx_[start]; k < nbr_idx_[start + 1]; ++k) {
-        queue_.push_back(Item{nbr_pool_[k].peer, nbr_pool_[k].cls, start});
+        queue_.push_back(Item{nbr_pool_[k].peer, nbr_pool_[k].slot, start});
       }
     }
     while (!queue_.empty()) {
@@ -299,8 +309,10 @@ class ArenaSearcher {
               static_cast<std::uint32_t>(std::countr_zero(bits));
           bits &= bits - 1;
           bool supported;
-          const std::uint64_t* prow = pair_row(it.cls, cand);
-          if (v_assigned != kNoVertex) {
+          const std::uint64_t* prow = pair_row(it.slot, cand);
+          if (prow == nullptr) {
+            supported = false;
+          } else if (v_assigned != kNoVertex) {
             supported = test_bit(prow, v_assigned);
           } else {
             supported = false;
@@ -323,7 +335,7 @@ class ArenaSearcher {
       if (removed_any) {
         for (std::uint32_t k = nbr_idx_[u]; k < nbr_idx_[u + 1]; ++k) {
           if (nbr_pool_[k].peer != it.source) {
-            queue_.push_back(Item{nbr_pool_[k].peer, nbr_pool_[k].cls, u});
+            queue_.push_back(Item{nbr_pool_[k].peer, nbr_pool_[k].slot, u});
           }
         }
       }
@@ -407,13 +419,16 @@ class ArenaSearcher {
     return Solvability::kUnsolvable;
   }
 
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  static constexpr std::size_t kNoRow = ~std::size_t{0};
+
   struct Arc {
     std::uint32_t peer;
-    std::uint32_t cls;
+    std::uint32_t slot;
   };
   struct Item {
     VertexId target;
-    std::uint32_t cls;
+    std::uint32_t slot;
     VertexId source;
   };
   struct Removed {
@@ -421,34 +436,31 @@ class ArenaSearcher {
     std::uint32_t value;
   };
 
-  const Task* task_;
+  const DeltaTables* delta_;
   const topo::Arena* in_;
-  const ChromaticComplex* out_;
   const SolveOptions* options_;
   std::uint64_t budget_;
   std::uint64_t nodes_ = 0;
 
   std::uint32_t n_;
-  std::uint32_t m_;
   std::size_t words_;
-  std::size_t facet_words_ = 1;
-
-  std::vector<Color> out_colors_;
-  std::vector<std::uint64_t> compat_;
-  std::vector<std::uint64_t> facet_bits_;
+  std::size_t facet_words_;
 
   std::vector<std::uint64_t> domains_;
   std::vector<std::uint32_t> dom_count_;
   std::vector<VertexId> assignment_;
 
-  std::vector<std::uint32_t> face_cls_;
-  std::vector<Simplex> cls_carrier_;
-  std::vector<bool> pair_needed_;
+  Simplex last_bc_;
+  std::uint32_t last_cls_ = DeltaTables::kNoClass;
+  std::vector<std::uint32_t> face_key_;
+  std::vector<std::uint32_t> slot_cls_;
   std::vector<std::uint32_t> by_vertex_idx_;
   std::vector<std::uint32_t> by_vertex_pool_;
   std::vector<std::uint32_t> nbr_idx_;
   std::vector<Arc> nbr_pool_;
-  std::vector<std::vector<std::uint64_t>> pair_;
+  std::vector<std::uint64_t> pair_keys_;
+  std::vector<std::uint32_t> pair_base_;
+  std::vector<std::uint64_t> pair_rows_;
 
   std::vector<Item> queue_;
   std::vector<Removed> trail_;
@@ -471,7 +483,12 @@ Solvability arena_search(const Task& task, const topo::Arena& arena,
                          std::vector<VertexId>& decision,
                          std::uint64_t& nodes) {
   WFC_REQUIRE(arena.valid(), "arena_search: invalid arena");
-  ArenaSearcher searcher(task, arena, options);
+  const DeltaTables* delta = task.delta_tables(options);
+  if (delta == nullptr) {  // interrupted while compiling
+    nodes = 0;
+    return Solvability::kCancelled;
+  }
+  ArenaSearcher searcher(*delta, arena, options);
   return searcher.run(decision, nodes);
 }
 

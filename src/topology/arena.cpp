@@ -5,28 +5,15 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "common/assert.hpp"
+#include "topology/face_table.hpp"
 
 namespace wfc::topo {
 
 namespace {
 
 constexpr std::uint64_t align8(std::uint64_t n) { return (n + 7) & ~7ull; }
-
-/// CSR accumulator: an index array of element offsets plus a flat pool.
-template <typename T>
-struct Csr {
-  std::vector<std::uint32_t> idx{0};
-  std::vector<T> pool;
-
-  void add(std::span<const T> row) {
-    pool.insert(pool.end(), row.begin(), row.end());
-    WFC_CHECK(pool.size() <= 0xffffffffull, "arena: CSR pool overflow");
-    idx.push_back(static_cast<std::uint32_t>(pool.size()));
-  }
-};
 
 void bounds_check(const char* what, std::uint64_t off, std::uint64_t len,
                   std::uint64_t elem_size, std::uint64_t blob_bytes) {
@@ -59,73 +46,36 @@ void ids_check(const char* what, std::span<const std::uint32_t> pool,
   }
 }
 
+/// Sorted, duplicate-free union of the base carriers of `face`'s vertices
+/// (ChromaticComplex::base_carrier_of), into `out`.
+void union_base_carrier(const ChromaticComplex& c,
+                        std::span<const VertexId> face, Simplex& out) {
+  out.clear();
+  for (VertexId v : face) {
+    const Simplex& vbc = c.vertex(v).base_carrier;
+    out.insert(out.end(), vbc.begin(), vbc.end());
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
 }  // namespace
 
-Arena Arena::build(const ChromaticComplex& c) {
-  const std::uint32_t n = static_cast<std::uint32_t>(c.num_vertices());
-  const std::uint32_t nf = static_cast<std::uint32_t>(c.num_facets());
-
-  std::vector<std::uint8_t> colors(n);
-  std::vector<std::uint32_t> carriers(n);
-  Csr<std::uint32_t> bc;
-  Csr<char> keys;
-  Csr<double> coords;
-  for (VertexId v = 0; v < n; ++v) {
-    const VertexData& vd = c.vertex(v);
-    WFC_CHECK(vd.color >= 0 && vd.color < 256, "arena: color out of range");
-    colors[v] = static_cast<std::uint8_t>(vd.color);
-    carriers[v] = vd.carrier.mask();
-    bc.add(std::span<const std::uint32_t>(vd.base_carrier));
-    keys.add(std::span<const char>(vd.key.data(), vd.key.size()));
-    coords.add(std::span<const double>(vd.coords));
-  }
-
-  Csr<std::uint32_t> facets;
-  for (const Simplex& f : c.facets()) {
-    facets.add(std::span<const std::uint32_t>(f));
-  }
-
-  // Deduplicated face table, size >= 2 only (singletons live in the
-  // per-vertex sections).  Facets are sorted, so every submask is already
-  // in canonical order; first-emission order is deterministic.
-  Csr<std::uint32_t> faces;
-  Csr<std::uint32_t> face_bcs;
-  std::unordered_map<Simplex, std::uint32_t, SimplexHash> seen;
-  Simplex face;
-  Simplex face_bc;
-  for (const Simplex& f : c.facets()) {
-    const std::size_t k = f.size();
-    WFC_CHECK(k <= 24, "arena: facet too large to enumerate");
-    for (std::uint32_t mask = 1; mask < (1u << k); ++mask) {
-      if (std::popcount(mask) < 2) continue;
-      face.clear();
-      for (std::size_t i = 0; i < k; ++i) {
-        if ((mask >> i) & 1u) face.push_back(f[i]);
-      }
-      if (!seen.try_emplace(face, static_cast<std::uint32_t>(seen.size()))
-               .second) {
-        continue;
-      }
-      faces.add(std::span<const std::uint32_t>(face));
-      face_bc.clear();  // c.base_carrier_of(face), without allocating
-      for (VertexId v : face) {
-        const Simplex& vbc = c.vertex(v).base_carrier;
-        face_bc.insert(face_bc.end(), vbc.begin(), vbc.end());
-      }
-      std::sort(face_bc.begin(), face_bc.end());
-      face_bc.erase(std::unique(face_bc.begin(), face_bc.end()), face_bc.end());
-      face_bcs.add(std::span<const std::uint32_t>(face_bc));
+ArenaWriter::ArenaWriter(const ArenaShape& shape) {
+  for (const std::uint64_t pool :
+       {shape.bc_pool, shape.facet_pool, shape.face_pool, shape.face_bc_pool,
+        shape.key_pool, shape.coord_pool}) {
+    if (pool > 0xffffffffull) {
+      throw std::invalid_argument("arena: CSR pool overflow");
     }
   }
-  const std::uint32_t n_faces = static_cast<std::uint32_t>(faces.idx.size() - 1);
-
-  ArenaHeader h{};
-  h.magic = kArenaMagic;
-  h.version = kArenaVersion;
-  h.n_colors = static_cast<std::uint32_t>(c.n_colors());
-  h.n_vertices = n;
-  h.n_facets = nf;
-  h.n_faces = n_faces;
+  const std::uint64_t n = shape.n_vertices;
+  h_.magic = kArenaMagic;
+  h_.version = kArenaVersion;
+  h_.n_colors = shape.n_colors;
+  h_.n_vertices = shape.n_vertices;
+  h_.n_facets = shape.n_facets;
+  h_.n_faces = shape.n_faces;
 
   std::uint64_t off = align8(sizeof(ArenaHeader));
   const auto place = [&off](std::uint64_t count, std::uint64_t elem) {
@@ -133,53 +83,176 @@ Arena Arena::build(const ChromaticComplex& c) {
     off = align8(off + count * elem);
     return at;
   };
-  h.off_colors = place(n, 1);
-  h.off_carriers = place(n, 4);
-  h.off_bc_idx = place(n + 1, 4);
-  h.off_bc_pool = place(bc.pool.size(), 4);
-  h.bc_pool_len = bc.pool.size();
-  h.off_facet_idx = place(nf + 1, 4);
-  h.off_facet_pool = place(facets.pool.size(), 4);
-  h.facet_pool_len = facets.pool.size();
-  h.off_face_idx = place(n_faces + 1, 4);
-  h.off_face_pool = place(faces.pool.size(), 4);
-  h.face_pool_len = faces.pool.size();
-  h.off_face_bc_idx = place(n_faces + 1, 4);
-  h.off_face_bc_pool = place(face_bcs.pool.size(), 4);
-  h.face_bc_pool_len = face_bcs.pool.size();
-  h.off_key_idx = place(n + 1, 4);
-  h.off_key_pool = place(keys.pool.size(), 1);
-  h.key_pool_len = keys.pool.size();
-  h.off_coord_idx = place(n + 1, 4);
-  h.off_coord_pool = place(coords.pool.size(), 8);
-  h.coord_pool_len = coords.pool.size();
-  h.blob_bytes = off;
+  h_.off_colors = place(n, 1);
+  h_.off_carriers = place(n, 4);
+  h_.off_bc_idx = place(n + 1, 4);
+  h_.off_bc_pool = place(shape.bc_pool, 4);
+  h_.bc_pool_len = shape.bc_pool;
+  h_.off_facet_idx = place(std::uint64_t{shape.n_facets} + 1, 4);
+  h_.off_facet_pool = place(shape.facet_pool, 4);
+  h_.facet_pool_len = shape.facet_pool;
+  h_.off_face_idx = place(std::uint64_t{shape.n_faces} + 1, 4);
+  h_.off_face_pool = place(shape.face_pool, 4);
+  h_.face_pool_len = shape.face_pool;
+  h_.off_face_bc_idx = place(std::uint64_t{shape.n_faces} + 1, 4);
+  h_.off_face_bc_pool = place(shape.face_bc_pool, 4);
+  h_.face_bc_pool_len = shape.face_bc_pool;
+  h_.off_key_idx = place(n + 1, 4);
+  h_.off_key_pool = place(shape.key_pool, 1);
+  h_.key_pool_len = shape.key_pool;
+  h_.off_coord_idx = place(n + 1, 4);
+  h_.off_coord_pool = place(shape.coord_pool, 8);
+  h_.coord_pool_len = shape.coord_pool;
+  h_.blob_bytes = off;
 
-  auto blob = std::make_shared<std::vector<std::byte>>(
+  blob_ = std::make_shared<std::vector<std::byte>>(
       static_cast<std::size_t>(off), std::byte{0});
-  std::byte* base = blob->data();
-  const auto emit = [base](std::uint64_t at, const void* src,
-                           std::uint64_t bytes) {
-    if (bytes > 0) std::memcpy(base + at, src, bytes);
-  };
-  emit(0, &h, sizeof(h));
-  emit(h.off_colors, colors.data(), colors.size());
-  emit(h.off_carriers, carriers.data(), carriers.size() * 4);
-  emit(h.off_bc_idx, bc.idx.data(), bc.idx.size() * 4);
-  emit(h.off_bc_pool, bc.pool.data(), bc.pool.size() * 4);
-  emit(h.off_facet_idx, facets.idx.data(), facets.idx.size() * 4);
-  emit(h.off_facet_pool, facets.pool.data(), facets.pool.size() * 4);
-  emit(h.off_face_idx, faces.idx.data(), faces.idx.size() * 4);
-  emit(h.off_face_pool, faces.pool.data(), faces.pool.size() * 4);
-  emit(h.off_face_bc_idx, face_bcs.idx.data(), face_bcs.idx.size() * 4);
-  emit(h.off_face_bc_pool, face_bcs.pool.data(), face_bcs.pool.size() * 4);
-  emit(h.off_key_idx, keys.idx.data(), keys.idx.size() * 4);
-  emit(h.off_key_pool, keys.pool.data(), keys.pool.size());
-  emit(h.off_coord_idx, coords.idx.data(), coords.idx.size() * 4);
-  emit(h.off_coord_pool, coords.pool.data(), coords.pool.size() * 8);
+  std::memcpy(blob_->data(), &h_, sizeof(h_));
+}
 
-  std::span<const std::byte> span(blob->data(), blob->size());
-  return view(span, std::move(blob));
+std::span<std::uint8_t> ArenaWriter::colors() {
+  return at<std::uint8_t>(h_.off_colors, h_.n_vertices);
+}
+std::span<std::uint32_t> ArenaWriter::carriers() {
+  return at<std::uint32_t>(h_.off_carriers, h_.n_vertices);
+}
+std::span<std::uint32_t> ArenaWriter::bc_idx() {
+  return at<std::uint32_t>(h_.off_bc_idx, std::uint64_t{h_.n_vertices} + 1);
+}
+std::span<VertexId> ArenaWriter::bc_pool() {
+  return at<VertexId>(h_.off_bc_pool, h_.bc_pool_len);
+}
+std::span<std::uint32_t> ArenaWriter::facet_idx() {
+  return at<std::uint32_t>(h_.off_facet_idx, std::uint64_t{h_.n_facets} + 1);
+}
+std::span<VertexId> ArenaWriter::facet_pool() {
+  return at<VertexId>(h_.off_facet_pool, h_.facet_pool_len);
+}
+std::span<std::uint32_t> ArenaWriter::face_idx() {
+  return at<std::uint32_t>(h_.off_face_idx, std::uint64_t{h_.n_faces} + 1);
+}
+std::span<VertexId> ArenaWriter::face_pool() {
+  return at<VertexId>(h_.off_face_pool, h_.face_pool_len);
+}
+std::span<std::uint32_t> ArenaWriter::face_bc_idx() {
+  return at<std::uint32_t>(h_.off_face_bc_idx, std::uint64_t{h_.n_faces} + 1);
+}
+std::span<VertexId> ArenaWriter::face_bc_pool() {
+  return at<VertexId>(h_.off_face_bc_pool, h_.face_bc_pool_len);
+}
+std::span<std::uint32_t> ArenaWriter::key_idx() {
+  return at<std::uint32_t>(h_.off_key_idx, std::uint64_t{h_.n_vertices} + 1);
+}
+std::span<char> ArenaWriter::key_pool() {
+  return at<char>(h_.off_key_pool, h_.key_pool_len);
+}
+std::span<std::uint32_t> ArenaWriter::coord_idx() {
+  return at<std::uint32_t>(h_.off_coord_idx, std::uint64_t{h_.n_vertices} + 1);
+}
+std::span<double> ArenaWriter::coord_pool() {
+  return at<double>(h_.off_coord_pool, h_.coord_pool_len);
+}
+
+Arena ArenaWriter::finish() && {
+  const std::span<const std::byte> span(blob_->data(), blob_->size());
+  return Arena::view(span, std::move(blob_));
+}
+
+Arena Arena::build(const ChromaticComplex& c) {
+  const auto n = static_cast<std::uint32_t>(c.num_vertices());
+  const auto nf = static_cast<std::uint32_t>(c.num_facets());
+  const std::vector<Simplex>& facets = c.facets();
+
+  ArenaShape shape;
+  shape.n_colors = static_cast<std::uint32_t>(c.n_colors());
+  shape.n_vertices = n;
+  shape.n_facets = nf;
+  std::size_t expect_faces = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    const VertexData& vd = c.vertex(v);
+    WFC_CHECK(vd.color >= 0 && vd.color < 256, "arena: color out of range");
+    shape.bc_pool += vd.base_carrier.size();
+    shape.key_pool += vd.key.size();
+    shape.coord_pool += vd.coords.size();
+  }
+  for (const Simplex& f : facets) {
+    WFC_CHECK(f.size() <= 24, "arena: facet too large to enumerate");
+    shape.facet_pool += f.size();
+    expect_faces += (std::size_t{1} << f.size()) - f.size() - 1;
+  }
+
+  // Deduplicated face table, size >= 2 only (singletons live in the
+  // per-vertex sections).  Facets are sorted, so every submask is already
+  // in canonical order; first-emission order is deterministic.
+  const std::vector<detail::FaceRef> faces = detail::dedupe_faces(
+      n, nf,
+      [&facets](std::uint32_t g) {
+        return std::span<const VertexId>(facets[g]);
+      },
+      expect_faces);
+  shape.n_faces = static_cast<std::uint32_t>(faces.size());
+  Simplex face;
+  Simplex face_bc;
+  const auto load_face = [&](const detail::FaceRef& ref) {
+    const Simplex& f = facets[ref.facet];
+    face.clear();
+    for (std::uint32_t m = ref.mask; m != 0; m &= m - 1) {
+      face.push_back(f[static_cast<std::size_t>(std::countr_zero(m))]);
+    }
+    union_base_carrier(c, face, face_bc);
+  };
+  for (const detail::FaceRef& ref : faces) {
+    load_face(ref);
+    shape.face_pool += face.size();
+    shape.face_bc_pool += face_bc.size();
+  }
+
+  ArenaWriter w(shape);
+  const auto colors = w.colors();
+  const auto carriers = w.carriers();
+  const auto bc_idx = w.bc_idx();
+  const auto bc_pool = w.bc_pool();
+  const auto key_idx = w.key_idx();
+  const auto key_pool = w.key_pool();
+  const auto coord_idx = w.coord_idx();
+  const auto coord_pool = w.coord_pool();
+  for (VertexId v = 0; v < n; ++v) {
+    const VertexData& vd = c.vertex(v);
+    colors[v] = static_cast<std::uint8_t>(vd.color);
+    carriers[v] = vd.carrier.mask();
+    std::copy(vd.base_carrier.begin(), vd.base_carrier.end(),
+              bc_pool.begin() + bc_idx[v]);
+    bc_idx[v + 1] =
+        bc_idx[v] + static_cast<std::uint32_t>(vd.base_carrier.size());
+    std::copy(vd.key.begin(), vd.key.end(), key_pool.begin() + key_idx[v]);
+    key_idx[v + 1] = key_idx[v] + static_cast<std::uint32_t>(vd.key.size());
+    std::copy(vd.coords.begin(), vd.coords.end(),
+              coord_pool.begin() + coord_idx[v]);
+    coord_idx[v + 1] =
+        coord_idx[v] + static_cast<std::uint32_t>(vd.coords.size());
+  }
+  const auto facet_idx = w.facet_idx();
+  const auto facet_pool = w.facet_pool();
+  for (std::uint32_t g = 0; g < nf; ++g) {
+    std::copy(facets[g].begin(), facets[g].end(),
+              facet_pool.begin() + facet_idx[g]);
+    facet_idx[g + 1] =
+        facet_idx[g] + static_cast<std::uint32_t>(facets[g].size());
+  }
+  const auto face_idx = w.face_idx();
+  const auto face_pool = w.face_pool();
+  const auto face_bc_idx = w.face_bc_idx();
+  const auto face_bc_pool = w.face_bc_pool();
+  for (std::uint32_t i = 0; i < faces.size(); ++i) {
+    load_face(faces[i]);
+    std::copy(face.begin(), face.end(), face_pool.begin() + face_idx[i]);
+    face_idx[i + 1] = face_idx[i] + static_cast<std::uint32_t>(face.size());
+    std::copy(face_bc.begin(), face_bc.end(),
+              face_bc_pool.begin() + face_bc_idx[i]);
+    face_bc_idx[i + 1] =
+        face_bc_idx[i] + static_cast<std::uint32_t>(face_bc.size());
+  }
+  return std::move(w).finish();
 }
 
 Arena Arena::view(std::span<const std::byte> blob,
@@ -206,20 +279,25 @@ Arena Arena::view(std::span<const std::byte> blob,
   }
   const std::uint64_t bytes = blob.size();
   const std::uint32_t n = h->n_vertices;
+  // Index arrays hold count + 1 entries, counted in 64 bits: a count of
+  // 0xffffffff must not wrap to an empty array.
+  const std::uint64_t n_idx = std::uint64_t{n} + 1;
+  const std::uint64_t facet_idx = std::uint64_t{h->n_facets} + 1;
+  const std::uint64_t face_idx = std::uint64_t{h->n_faces} + 1;
   bounds_check("colors", h->off_colors, n, 1, bytes);
   bounds_check("carriers", h->off_carriers, n, 4, bytes);
-  bounds_check("bc_idx", h->off_bc_idx, n + 1, 4, bytes);
+  bounds_check("bc_idx", h->off_bc_idx, n_idx, 4, bytes);
   bounds_check("bc_pool", h->off_bc_pool, h->bc_pool_len, 4, bytes);
-  bounds_check("facet_idx", h->off_facet_idx, h->n_facets + 1, 4, bytes);
+  bounds_check("facet_idx", h->off_facet_idx, facet_idx, 4, bytes);
   bounds_check("facet_pool", h->off_facet_pool, h->facet_pool_len, 4, bytes);
-  bounds_check("face_idx", h->off_face_idx, h->n_faces + 1, 4, bytes);
+  bounds_check("face_idx", h->off_face_idx, face_idx, 4, bytes);
   bounds_check("face_pool", h->off_face_pool, h->face_pool_len, 4, bytes);
-  bounds_check("face_bc_idx", h->off_face_bc_idx, h->n_faces + 1, 4, bytes);
+  bounds_check("face_bc_idx", h->off_face_bc_idx, face_idx, 4, bytes);
   bounds_check("face_bc_pool", h->off_face_bc_pool, h->face_bc_pool_len, 4,
                bytes);
-  bounds_check("key_idx", h->off_key_idx, n + 1, 4, bytes);
+  bounds_check("key_idx", h->off_key_idx, n_idx, 4, bytes);
   bounds_check("key_pool", h->off_key_pool, h->key_pool_len, 1, bytes);
-  bounds_check("coord_idx", h->off_coord_idx, n + 1, 4, bytes);
+  bounds_check("coord_idx", h->off_coord_idx, n_idx, 4, bytes);
   bounds_check("coord_pool", h->off_coord_pool, h->coord_pool_len, 8, bytes);
 
   Arena a;

@@ -11,9 +11,12 @@
 // The same blob is the on-disk format: `build()` lays the sections out
 // exactly as `store::ChainStore` writes them, and `view()` adopts a blob
 // (typically an mmap'ed span) zero-copy after validating the header and
-// section bounds.  `materialize()` reconstructs a ChromaticComplex that is
-// byte-for-byte canonical with the original -- same vertex order, keys,
-// carriers, coords, base carriers, and facet order -- so
+// section bounds.  Writers (`build()` here, `topo::subdivide` in
+// subdivision.hpp) first count every section, then allocate the blob once
+// at its final size and fill the sections in place (ArenaWriter).
+// `materialize()` reconstructs a ChromaticComplex that is byte-for-byte
+// canonical with the original -- same vertex order, keys, carriers,
+// coords, base carriers, and facet order -- so
 // `complex_fingerprint(materialize(build(c))) == complex_fingerprint(c)`.
 //
 // Sections (all offsets relative to blob start, 8-byte aligned):
@@ -154,6 +157,58 @@ class Arena {
   const ArenaHeader* header_ = nullptr;
   std::span<const std::byte> blob_;
   std::shared_ptr<const void> backing_;
+};
+
+/// Element count of every arena section: what a writer must know before
+/// it allocates the blob.
+struct ArenaShape {
+  std::uint32_t n_colors = 0;
+  std::uint32_t n_vertices = 0;
+  std::uint32_t n_facets = 0;
+  std::uint32_t n_faces = 0;
+  std::uint64_t bc_pool = 0;
+  std::uint64_t facet_pool = 0;
+  std::uint64_t face_pool = 0;
+  std::uint64_t face_bc_pool = 0;
+  std::uint64_t key_pool = 0;
+  std::uint64_t coord_pool = 0;
+};
+
+/// One zero-filled blob of exactly the size `shape` needs, laid out as
+/// ArenaHeader describes.  The caller fills every section in place through
+/// the spans below (CSR index arrays included), then `finish()` adopts the
+/// blob through Arena::view, which validates it.  Throws
+/// std::invalid_argument if a pool does not fit the u32 CSR indices.
+class ArenaWriter {
+ public:
+  explicit ArenaWriter(const ArenaShape& shape);
+
+  [[nodiscard]] std::span<std::uint8_t> colors();
+  [[nodiscard]] std::span<std::uint32_t> carriers();
+  [[nodiscard]] std::span<std::uint32_t> bc_idx();
+  [[nodiscard]] std::span<VertexId> bc_pool();
+  [[nodiscard]] std::span<std::uint32_t> facet_idx();
+  [[nodiscard]] std::span<VertexId> facet_pool();
+  [[nodiscard]] std::span<std::uint32_t> face_idx();
+  [[nodiscard]] std::span<VertexId> face_pool();
+  [[nodiscard]] std::span<std::uint32_t> face_bc_idx();
+  [[nodiscard]] std::span<VertexId> face_bc_pool();
+  [[nodiscard]] std::span<std::uint32_t> key_idx();
+  [[nodiscard]] std::span<char> key_pool();
+  [[nodiscard]] std::span<std::uint32_t> coord_idx();
+  [[nodiscard]] std::span<double> coord_pool();
+
+  [[nodiscard]] Arena finish() &&;
+
+ private:
+  template <typename T>
+  [[nodiscard]] std::span<T> at(std::uint64_t off, std::uint64_t len) {
+    return {reinterpret_cast<T*>(blob_->data() + off),
+            static_cast<std::size_t>(len)};
+  }
+
+  ArenaHeader h_{};
+  std::shared_ptr<std::vector<std::byte>> blob_;
 };
 
 }  // namespace wfc::topo

@@ -173,14 +173,15 @@ std::string to_string(const Simplex& s);
 
 template <typename Fn>
 void ChromaticComplex::for_each_face(Fn&& fn) const {
-  // Each face is emitted from the first facet containing it.
+  // Each face is emitted from the first facet containing it.  One scratch
+  // face is reused; the set copies only the faces it has not seen.
   std::unordered_set<Simplex, SimplexHash> seen;
+  Simplex face;
   for (const Simplex& f : facets_) {
     const std::size_t k = f.size();
     WFC_CHECK(k <= 24, "for_each_face: facet too large to enumerate");
     for (std::uint32_t mask = 1; mask < (1u << k); ++mask) {
-      Simplex face;
-      face.reserve(static_cast<std::size_t>(std::popcount(mask)));
+      face.clear();
       for (std::size_t i = 0; i < k; ++i) {
         if ((mask >> i) & 1u) face.push_back(f[i]);
       }

@@ -7,7 +7,8 @@
 //      byte-identical to the builder's output.
 //   2. Blob validation: view() rejects truncation, bad magic, version
 //      skew, and corrupted CSR tables with std::invalid_argument instead
-//      of serving out-of-bounds spans.
+//      of serving out-of-bounds spans, and arena_search rejects a viewable
+//      arena whose base carriers or colors do not fit the task.
 //   3. Engine equivalence: the arena search explores the IDENTICAL tree as
 //      the reference ChromaticComplex search (reference_search.hpp) --
 //      same verdicts, same decision maps, same nodes_explored, level by
@@ -16,13 +17,18 @@
 //      arena engine changed the search, not just its memory layout.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "delta_check.hpp"
 #include "reference_search.hpp"
+#include "tasks/arena_search.hpp"
 #include "tasks/canonical.hpp"
+#include "tasks/delta_tables.hpp"
+#include "tasks/resilience.hpp"
 #include "tasks/solvability.hpp"
 #include "topology/arena.hpp"
 #include "topology/complex.hpp"
@@ -133,6 +139,23 @@ TEST(Arena, ViewRejectsMalformedBlobs) {
   }
 }
 
+TEST(Arena, ViewRejectsCountsThatWrap) {
+  // n + 1 index entries for a count of 0xffffffff: the bounds check must
+  // not wrap to an empty index array and then walk 2^32 entries (found by
+  // arena_fuzz_test).
+  const Arena a = Arena::build(base_simplex(3));
+  for (const auto field : {&ArenaHeader::n_facets, &ArenaHeader::n_faces}) {
+    auto bad = std::make_shared<std::vector<std::byte>>(a.bytes().begin(),
+                                                        a.bytes().end());
+    ArenaHeader h;
+    std::memcpy(&h, bad->data(), sizeof(h));
+    h.*field = 0xffffffffu;
+    std::memcpy(bad->data(), &h, sizeof(h));
+    EXPECT_THROW(Arena::view({bad->data(), bad->size()}, bad),
+                 std::invalid_argument);
+  }
+}
+
 }  // namespace
 }  // namespace wfc::topo
 
@@ -197,6 +220,91 @@ TEST(ArenaSearch, MatchesLegacyUnderBudgetExhaustion) {
       EXPECT_EQ(a.decision, l.decision);
     }
   }
+}
+
+/// A one-vertex arena that Arena::view accepts: color `color` of
+/// `n_colors`, base carrier `bc` (vertex ids of the task's input).
+topo::Arena one_vertex_arena(std::uint8_t color, std::uint32_t n_colors,
+                             const std::vector<topo::VertexId>& bc) {
+  topo::ArenaShape shape;
+  shape.n_colors = n_colors;
+  shape.n_vertices = 1;
+  shape.bc_pool = bc.size();
+  topo::ArenaWriter w(shape);
+  w.colors()[0] = color;
+  w.bc_idx()[1] = static_cast<std::uint32_t>(bc.size());
+  std::copy(bc.begin(), bc.end(), w.bc_pool().begin());
+  return std::move(w).finish();
+}
+
+TEST(ArenaSearch, RejectsAnEmptyBaseCarrier) {
+  // The empty carrier is no face of I; as vertex 0's it is also the first
+  // lookup, which the searcher's one-entry carrier cache must not answer.
+  const ConsensusTask consensus(2, 2);
+  const topo::Arena arena = one_vertex_arena(0, 2, {});
+  std::vector<topo::VertexId> decision;
+  std::uint64_t nodes = 0;
+  EXPECT_THROW((void)arena_search(consensus, arena, SolveOptions{}, decision,
+                                  nodes),
+               std::invalid_argument);
+}
+
+TEST(ArenaSearch, RejectsAColorOutsideTheOutput) {
+  // view() bounds colors only by the u8 section; O has 2 colors.
+  const ConsensusTask consensus(2, 2);
+  const topo::Arena arena = one_vertex_arena(7, 8, {0});
+  std::vector<topo::VertexId> decision;
+  std::uint64_t nodes = 0;
+  EXPECT_THROW((void)arena_search(consensus, arena, SolveOptions{}, decision,
+                                  nodes),
+               std::invalid_argument);
+}
+
+TEST(DeltaTables, AgreeWithAllowsOnEveryCanonicalAndModelTask) {
+  // Every canonical task kind, the tasks the model suite and the cold
+  // corpus restrict (consensus(2,2), set consensus (3,1) and (3,2),
+  // approx(2,9)), simplex agreement on the handler's targets, and the
+  // projected colorless tasks of the resilience layer.
+  std::vector<std::shared_ptr<Task>> tasks = {
+      std::make_shared<ConsensusTask>(2, 2),
+      std::make_shared<ConsensusTask>(2, 3),
+      std::make_shared<ConsensusTask>(3, 2),
+      std::make_shared<KSetConsensusTask>(2, 1),
+      std::make_shared<KSetConsensusTask>(3, 1),
+      std::make_shared<KSetConsensusTask>(3, 2),
+      std::make_shared<KSetConsensusTask>(3, 3),
+      std::make_shared<RenamingTask>(2, 3),
+      std::make_shared<RenamingTask>(3, 5),
+      std::make_shared<ApproxAgreementTask>(2, 9),
+      std::make_shared<ApproxAgreementTask>(3, 2),
+      std::make_shared<IdentityTask>(topo::base_simplex(3)),
+      std::make_shared<SimplexAgreementTask>(
+          2, topo::iterated_sds(topo::base_simplex(2), 2)),
+      std::make_shared<SimplexAgreementTask>(
+          3, topo::iterated_sds(topo::base_simplex(3), 1)),
+      std::make_shared<ProjectedColorlessTask>(colorless_consensus(2), 3),
+      std::make_shared<ProjectedColorlessTask>(colorless_set_consensus(2, 3),
+                                               3, true),
+      std::make_shared<ProjectedColorlessTask>(colorless_approx_agreement(4),
+                                               2),
+  };
+  for (const auto& t : tasks) {
+    SCOPED_TRACE(t->name());
+    EXPECT_GT(test::expect_delta_tables_match(*t), 0u);
+  }
+}
+
+TEST(DeltaTables, CompiledOncePerTaskObject) {
+  const ApproxAgreementTask approx(2, 9);
+  const SolveOptions none;
+  const DeltaTables* first = approx.delta_tables(none);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(approx.delta_tables(none), first);
+  (void)solve(approx, 2);
+  EXPECT_EQ(approx.delta_tables(none), first);
+  // A copy is a fresh task with its own tables.
+  const ApproxAgreementTask copy = approx;
+  EXPECT_NE(copy.delta_tables(none), first);
 }
 
 }  // namespace

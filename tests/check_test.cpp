@@ -31,6 +31,7 @@
 #include "tasks/canonical.hpp"
 #include "tasks/solvability.hpp"
 #include "topology/complex.hpp"
+#include "topology/subdivision.hpp"
 
 namespace wfc::chk {
 namespace {
@@ -242,6 +243,40 @@ TEST(DeltaCheck, SolvedApproxAgreementDecidesLegallyUnderCrashes) {
   EXPECT_TRUE(report.ok) << report.violation;
   EXPECT_GT(report.decisions_checked, 0u);
   EXPECT_GT(report.explored.crashy_executions, 0u);
+}
+
+TEST(DeltaCheck, EverySolvableE3ResultDecidesLegally) {
+  // The SOLVABLE rows of EXPERIMENTS.md E3.  The checker calls
+  // Task::allows directly, so it is independent of the compiled Delta
+  // tables the search ran on.
+  struct Row {
+    std::shared_ptr<task::Task> task;
+    int max_level;
+    int level;
+  };
+  const std::vector<Row> rows = {
+      {std::make_shared<task::KSetConsensusTask>(3, 3), 1, 0},
+      {std::make_shared<task::RenamingTask>(2, 3), 1, 0},
+      {std::make_shared<task::SimplexAgreementTask>(
+           3, topo::iterated_sds(topo::base_simplex(3), 1)),
+       1, 1},
+      {std::make_shared<task::SimplexAgreementTask>(
+           3, topo::iterated_sds(topo::base_simplex(3), 2)),
+       2, 2},
+      {std::make_shared<task::SimplexAgreementTask>(
+           2, topo::iterated_sds(topo::base_simplex(2), 2)),
+       2, 2},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.task->name());
+    const task::SolveResult solved = task::solve(*row.task, row.max_level);
+    ASSERT_EQ(solved.status, task::Solvability::kSolvable);
+    EXPECT_EQ(solved.level, row.level);
+    const DeltaCheckReport report =
+        check_decision_against_delta(*row.task, solved, 1);
+    EXPECT_TRUE(report.ok) << report.violation;
+    EXPECT_GT(report.decisions_checked, 0u);
+  }
 }
 
 TEST(DeltaCheck, LevelZeroMapsAreCheckedFaceByFace) {

@@ -11,6 +11,7 @@
 #include <set>
 
 #include "core/wfc.hpp"
+#include "delta_check.hpp"
 
 namespace wfc {
 namespace {
@@ -388,6 +389,17 @@ TEST(RandomTasks, CriterionAgreesWithSearch) {
   // The generator must actually exercise both outcomes.
   EXPECT_GT(solvable, 5);
   EXPECT_GT(unsolvable, 5);
+}
+
+TEST(RandomTasks, CompiledDeltaTablesAgreeWithAllows) {
+  // Random Delta is the one that is not built from a formula; the tables
+  // the search reads must still be allows() pair for pair.
+  Rng rng(20260707);
+  for (int trial = 0; trial < 40; ++trial) {
+    RandomTask t(rng, 1 + trial % 4);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    EXPECT_GT(test::expect_delta_tables_match(t), 0u);
+  }
 }
 
 }  // namespace

@@ -44,12 +44,16 @@ int soak_millis() {
   return std::max(1, std::atoi(env));
 }
 
-/// Consensus whose Delta sleeps: a deterministically slow search that still
-/// polls its cancel token at every node.
+/// Consensus whose Delta sleeps: a deterministically slow first search.
+/// The sleeps land in the task's one Delta compile (32 allows() calls for
+/// consensus(2,2)), which polls the query's cancel token and deadline
+/// before each of the 8 faces of I, at most 6 calls apart; the search
+/// after it polls at every node.  At the default 300us per call a fresh
+/// query stays busy for about 10ms.
 class SlowConsensus final : public task::Task {
  public:
   explicit SlowConsensus(std::chrono::microseconds nap =
-                             std::chrono::microseconds(50))
+                             std::chrono::microseconds(300))
       : inner_(2, 2), nap_(nap) {}
   [[nodiscard]] const topo::ChromaticComplex& input() const override {
     return inner_.input();
@@ -229,10 +233,11 @@ TEST(WatchdogRules, HardTimeoutKillsARunawayQuery) {
   options.watchdog_scan_period = std::chrono::milliseconds(5);
   QueryService service(options);
 
-  // No per-query deadline: only the watchdog can stop this slow search
-  // (2ms per Delta consultation puts completion far past the hard cap).
+  // No per-query deadline: only the watchdog can stop this slow query
+  // (10ms per Delta call puts the 32-call compile at 320ms, far past the
+  // hard cap).
   auto ticket = service.submit(Query::solve(
-      std::make_shared<SlowConsensus>(std::chrono::milliseconds(2))));
+      std::make_shared<SlowConsensus>(std::chrono::milliseconds(10))));
   const QueryResult r = get_within(ticket);
   EXPECT_EQ(r.status, Status::kDeadlineExceeded);
   EXPECT_EQ(r.solve.status, Solvability::kCancelled);
@@ -249,8 +254,9 @@ TEST(WatchdogRules, SilentHeartbeatIsReportedAsStuck) {
   options.hard_timeout = std::chrono::milliseconds(250);  // eventual rescue
   QueryService service(options);
 
-  // Delta sleeps 20ms PER CALL: between two search nodes the heartbeat is
-  // silent for many scans, which is exactly a stuck-worker signature.
+  // Delta sleeps 20ms PER CALL: while the task compiles its Delta tables
+  // the heartbeat is silent for many scans, which is exactly a stuck-worker
+  // signature.
   auto ticket = service.submit(Query::solve(
       std::make_shared<SlowConsensus>(std::chrono::milliseconds(20))));
   const QueryResult r = get_within(ticket);
@@ -463,7 +469,7 @@ TEST(ChaosSoak, StormPreservesEveryInvariant) {
         case 3:
           window.push_back(service.submit(Query::solve(
               std::make_shared<SlowConsensus>(
-                  std::chrono::microseconds(200)))));
+                  std::chrono::microseconds(1100)))));
           break;
         case 4: {
           CheckRequest check;

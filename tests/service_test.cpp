@@ -20,8 +20,10 @@
 #include "service/sds_cache.hpp"
 #include "service/thread_pool.hpp"
 #include "tasks/canonical.hpp"
+#include "tasks/delta_tables.hpp"
 #include "tasks/solvability.hpp"
 #include "topology/complex.hpp"
+#include "topology/hash.hpp"
 #include "topology/subdivision.hpp"
 
 namespace wfc::svc {
@@ -94,6 +96,84 @@ TEST(SdsChainSharing, TruncationSharesLevels) {
   EXPECT_EQ(&shallow.level(0), &deep.level(0));
   EXPECT_EQ(&shallow.level(1), &deep.level(1));
   EXPECT_EQ(&shallow.top(), &deep.level(1));
+}
+
+// ---------------------------------------------------------------------------
+// First use from many threads: a level's lazily materialized complex and a
+// task's lazily compiled Delta tables are built once, and every thread gets
+// the same object and the sequential answer.
+// ---------------------------------------------------------------------------
+
+/// Runs body(i) on `n` threads released together.
+void run_together(int n, const std::function<void(int)>& body) {
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < n; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < n) std::this_thread::yield();
+      body(i);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+}
+
+TEST(FirstUse, ConcurrentLevelCallsMaterializeOneComplex) {
+  constexpr int kThreads = 8;
+  const proto::SdsChain sequential(base_simplex(3), 2);
+  const std::uint64_t want =
+      topo::complex_fingerprint(sequential.level(2));
+  const proto::SdsChain chain(base_simplex(3), 2);
+  const proto::SdsChain extension(chain, 3);  // shares levels 0..2
+  std::vector<const topo::ChromaticComplex*> seen(kThreads);
+  std::vector<std::uint64_t> prints(kThreads);
+  run_together(kThreads, [&](int i) {
+    const proto::SdsChain& c = i % 2 == 0 ? chain : extension;
+    seen[static_cast<std::size_t>(i)] = &c.level(2);
+    prints[static_cast<std::size_t>(i)] =
+        topo::complex_fingerprint(*seen[static_cast<std::size_t>(i)]);
+  });
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], seen[0]);
+    EXPECT_EQ(prints[static_cast<std::size_t>(i)], want);
+  }
+}
+
+TEST(FirstUse, ConcurrentSolvesCompileOneDeltaTable) {
+  constexpr int kThreads = 8;
+  const auto reference_task = std::make_shared<task::KSetConsensusTask>(3, 2);
+  const task::SolveResult want = task::solve(*reference_task, 1);
+  const auto shared = std::make_shared<task::KSetConsensusTask>(3, 2);
+  std::vector<task::SolveResult> results(kThreads);
+  std::vector<const task::DeltaTables*> tables(kThreads);
+  run_together(kThreads, [&](int i) {
+    results[static_cast<std::size_t>(i)] = task::solve(*shared, 1);
+    tables[static_cast<std::size_t>(i)] =
+        shared->delta_tables(task::SolveOptions{});
+  });
+  for (int i = 0; i < kThreads; ++i) {
+    const task::SolveResult& r = results[static_cast<std::size_t>(i)];
+    EXPECT_EQ(r.status, want.status);
+    EXPECT_EQ(r.level, want.level);
+    EXPECT_EQ(r.nodes_explored, want.nodes_explored);
+    EXPECT_EQ(r.decision, want.decision);
+    EXPECT_NE(tables[static_cast<std::size_t>(i)], nullptr);
+    EXPECT_EQ(tables[static_cast<std::size_t>(i)], tables[0]);
+  }
+}
+
+TEST(FirstUse, InterruptedCompileLeavesTheTaskUsable) {
+  // A query cancelled while its task compiles leaves no tables behind, and
+  // the next caller compiles them (the chaos storm's shared tasks do this).
+  const task::ConsensusTask consensus(2, 2);
+  std::atomic<bool> cancel{true};
+  task::SolveOptions cancelled;
+  cancelled.cancel = &cancel;
+  EXPECT_EQ(consensus.delta_tables(cancelled), nullptr);
+  const task::SolveResult r = task::solve(consensus, 1, cancelled);
+  EXPECT_EQ(r.status, task::Solvability::kCancelled);
+  EXPECT_EQ(r.nodes_explored, 0u);
+  EXPECT_NE(consensus.delta_tables(task::SolveOptions{}), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,8 +270,13 @@ TEST(SdsCache, ConcurrentHammeringSharesOneTower) {
 // Cancellation and deadlines in the solver.
 // ---------------------------------------------------------------------------
 
-/// Consensus with a sleep in Delta: a deterministic slow search (allows()
-/// is consulted throughout domain construction and propagation).
+/// Consensus with a sleep in Delta: a deterministically slow first search.
+/// The search reads Delta compiled once per task object, so the sleeps land
+/// in that compile: 32 allows() calls for consensus(2,2), with the query's
+/// cancel token and deadline polled before each of the 8 faces of I, at
+/// most 6 calls apart.  At 300us per call a fresh query stays busy for
+/// about 10ms, long enough for the tests below to cancel it or queue behind
+/// it.
 class SlowConsensus final : public task::Task {
  public:
   SlowConsensus() : inner_(2, 2) {}
@@ -204,7 +289,7 @@ class SlowConsensus final : public task::Task {
   [[nodiscard]] std::string name() const override { return "slow-consensus"; }
   [[nodiscard]] bool allows(const topo::Simplex& in,
                             const topo::Simplex& out) const override {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
     return inner_.allows(in, out);
   }
 
